@@ -7,14 +7,12 @@ from .expr import (
     parse,
 )
 from .derivative import DerivativeResult, differentiate, simplify
-from .scan import CandidatePoint, ScanResult, check_function_defined, scan, scan_detailed
+from .scan import CandidatePoint, ScanResult, scan_detailed
 from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, QuotientProbe, Verdict,
     VerticalTangent, classify, probe,
 )
-from .tangents import (
-    Provenance, TangentPoint, find_expression_roots, find_horizontal_tangents,
-)
+from .tangents import Provenance, TangentPoint
 from .report import AnalysisReport, analyze, audit_point, emit_plot_data
 
 __all__ = [
@@ -22,10 +20,10 @@ __all__ = [
     "Mul", "Neg", "ParseError", "Pow", "Sub", "UndefinedReason", "Variable",
     "X", "evaluate", "format_expr", "parse",
     "DerivativeResult", "differentiate", "simplify",
-    "CandidatePoint", "ScanResult", "check_function_defined", "scan", "scan_detailed",
+    "CandidatePoint", "ScanResult", "scan_detailed",
     "Corner", "Cusp", "Differentiable", "Inconclusive", "QuotientProbe",
     "Verdict", "VerticalTangent", "classify", "probe",
-    "Provenance", "TangentPoint", "find_expression_roots", "find_horizontal_tangents",
+    "Provenance", "TangentPoint",
     "AnalysisReport", "analyze", "audit_point", "emit_plot_data",
 ]
 

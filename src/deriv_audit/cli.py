@@ -1,12 +1,19 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 expression parse error, 3 I/O error.
+Exit codes:
+  0  success
+  2  bad input, with a one-line message on stderr: an expression that does
+     not parse (the message gives the offset), or an option value out of
+     range (--interval needs finite LO <= HI, --grid and --plot-n at least
+     2, --at a finite number); argparse's own usage errors also exit 2
+  3  the --plot file cannot be written
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .expr import Interval, ParseError, format_expr, parse
@@ -51,8 +58,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bad_option(args) -> str | None:
+    """What is wrong with the option values, or None when they are valid."""
+    if args.command == "analyze":
+        lo, hi = args.interval
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            return f"--interval needs finite LO <= HI, got {lo!r} {hi!r}"
+        if args.grid < 2:
+            return f"--grid must be at least 2, got {args.grid}"
+        if args.plot_n < 2:
+            return f"--plot-n must be at least 2, got {args.plot_n}"
+    if args.command == "classify" and not math.isfinite(args.at):
+        return f"--at must be a finite number, got {args.at!r}"
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    bad = _bad_option(args)
+    if bad is not None:
+        print(f"deriv-audit: {bad}", file=sys.stderr)
+        return 2
     try:
         if args.command == "analyze":
             iv = Interval(args.interval[0], args.interval[1])

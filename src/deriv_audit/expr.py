@@ -20,7 +20,7 @@ __all__ = [
     "Expr", "Constant", "Variable", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Func", "FUNCTION_NAMES", "X",
     "UndefinedReason", "EvalOutcome", "Interval", "ParseError",
-    "parse", "format_expr", "evaluate", "format_number", "subexpressions",
+    "parse", "format_expr", "evaluate", "format_number", "Tape", "lower",
 ]
 
 FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "cbrt", "abs"})
@@ -107,22 +107,11 @@ X = Variable()
 def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, (Constant, Variable)):
         return ()
-    if isinstance(e, Neg):
-        return (e.arg,)
-    if isinstance(e, Func):
+    if isinstance(e, (Neg, Func)):
         return (e.arg,)
     if isinstance(e, Pow):
         return (e.base, e.exponent)
     return (e.left, e.right)  # type: ignore[union-attr]
-
-
-def subexpressions(e: Expr):
-    """Yield every node of the tree in left-to-right preorder."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
 
 
 class UndefinedReason(enum.Enum):
@@ -205,96 +194,168 @@ def _pow_value(a: float, b: float) -> tuple[float | None, UndefinedReason | None
         return math.copysign(HUGE, sign), None
 
 
+def _exp(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return HUGE
+
+
+class Tape:
+    """An expression lowered to a post-order sequence of slots.  Slot i,
+    `code[i] = (op, fn, a, b)`, applies fn to the values of earlier slots a
+    and b (b is None for a unary op; a leaf has no fn, and a constant holds
+    its value in a), so one forward sweep evaluates the expression and the
+    last slot is the root.  Equal subtrees share a slot, `nodes[i]` is slot
+    i's subtree, and a value is a float or None where it is undefined.
+    """
+
+    __slots__ = ("code", "nodes", "root")
+
+    def __init__(self, code: list[tuple], nodes: list[Expr]):
+        self.code, self.nodes, self.root = code, nodes, len(code) - 1
+
+    def operands(self, i: int) -> tuple[int, ...]:
+        op, _, a, b = self.code[i]
+        return () if op == "c" or op == "x" else (a,) if b is None else (a, b)
+
+    def run(self, x: float) -> list[float | None]:
+        """Every slot's value at x."""
+        vals: list[float | None] = []
+        push = vals.append
+        for op, fn, a, b in self.code:
+            if fn is None:  # a leaf
+                push(x if op == "x" else a)
+            elif b is None:
+                u = vals[a]
+                push(None if u is None else fn(u))
+            else:
+                u, v = vals[a], vals[b]
+                push(None if u is None or v is None else fn(u, v))
+        return vals
+
+    def value(self, x: float) -> float | None:
+        return self.run(x)[-1]
+
+    def outcome(self, x: float) -> EvalOutcome:
+        vals = self.run(x)
+        return EvalOutcome(vals[-1], self.reason(vals, self.root))
+
+    def reason(self, vals: list[float | None], slot: int) -> UndefinedReason | None:
+        """Why `slot` is undefined in a run: the violation at the shallowest
+        node of its subtree, leftmost on a tie; None if it is defined.
+        Undefinedness reaches every ancestor, so a breadth-first walk over
+        undefined slots, left to right, meets the violations in that order;
+        a shared slot is walked at its first, shallowest occurrence only."""
+        level = [slot] if vals[slot] is None else []
+        seen = set(level)
+        while level:
+            deeper = []
+            for i in level:
+                op, _, a, b = self.code[i]
+                u, v = vals[a], None if b is None else vals[b]
+                if op == "/" and v == 0.0:
+                    return UndefinedReason.DIV_BY_ZERO
+                if op == "^" and u is not None and v is not None:
+                    return _pow_value(u, v)[1]
+                if b is None and u is not None:
+                    return {"tan": UndefinedReason.TAN_POLE,
+                            "ln": UndefinedReason.LOG_NON_POSITIVE,
+                            "sqrt": UndefinedReason.EVEN_ROOT_OF_NEGATIVE}[op]
+                for k in self.operands(i):
+                    if vals[k] is None and k not in seen:
+                        seen.add(k)
+                        deeper.append(k)
+            level = deeper
+        return None
+
+    def culprit(self, x: float) -> tuple[Expr, UndefinedReason | None]:
+        """Smallest undefined subexpression at x (leftmost if tied), and why."""
+        vals = self.run(x)
+        i = self.root
+        while (k := next((k for k in self.operands(i) if vals[k] is None), None)) is not None:
+            i = k
+        return self.nodes[i], self.reason(vals, i)
+
+    def columns(self, xs: list[float], keep=()) -> list[list | None]:
+        """Each slot's values at the points xs, in one sweep.  Only the root's
+        column and those of the slots in `keep` are returned; every other
+        one is dropped (None) after its last reader, so few are alive."""
+        keep = {*keep, self.root}
+        last_read = {k: i for i in range(len(self.code)) for k in self.operands(i)}
+        cols: list[list | None] = []
+        for i, (op, fn, a, b) in enumerate(self.code):
+            if fn is None:
+                cols.append(xs if op == "x" else [a] * len(xs))
+            elif b is None:
+                cols.append([None if u is None else fn(u) for u in cols[a]])
+            else:
+                cols.append([None if u is None or v is None else fn(u, v)
+                             for u, v in zip(cols[a], cols[b])])
+            for k in self.operands(i):
+                if last_read[k] == i and k not in keep:
+                    cols[k] = None
+        return cols
+
+    def domain_slots(self) -> list[int]:
+        """Slots whose zeros or sign can make the expression undefined:
+        denominators and the arguments of sqrt and ln."""
+        return list({b if op == "/" else a: None
+                     for op, _, a, b in self.code if op in ("/", "sqrt", "ln")})
+
+
+def lower(e: Expr) -> Tape:
+    """Lower e to a Tape with an explicit stack, so depth is unbounded."""
+    # each operation's value at defined operands, or None where it is undefined
+    fns = {
+        "+": lambda u, v: _sat(u + v), "-": lambda u, v: _sat(u - v),
+        "*": lambda u, v: _sat(u * v), "^": lambda u, v: _pow_value(u, v)[0],
+        "/": lambda u, v: None if v == 0.0 else _sat(u / v),
+        "neg": lambda u: -u, "sin": math.sin, "cos": math.cos, "exp": _exp,
+        "cbrt": cbrt, "abs": abs, "x": None,
+        # tan is undefined only where the argument hits a pole exactly in floats
+        "tan": lambda u: None if math.cos(u) == 0.0 else _sat(math.tan(u)),
+        "ln": lambda u: None if u <= 0.0 else math.log(u),
+        "sqrt": lambda u: None if u < 0.0 else math.sqrt(u),
+    }
+    ops = {Variable: "x", Neg: "neg", Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
+    code: list[tuple] = []
+    nodes: list[Expr] = []
+    slot_of_id: dict[int, int] = {}  # e holds every node, so ids stay unique
+    slot_of_key: dict[tuple, int] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        kids = children(node)
+        pending = [k for k in kids if id(k) not in slot_of_id]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        if id(node) in slot_of_id:
+            continue
+        if isinstance(node, Constant):
+            entry = ("c", None, node.value, None)
+            key = ("c", node.value, math.copysign(1.0, node.value))  # keeps -0.0 apart
+        else:
+            op = node.name if isinstance(node, Func) else ops[type(node)]
+            slots = [slot_of_id[id(k)] for k in kids] + [None, None]
+            entry = key = (op, fns[op], slots[0], slots[1])
+        slot = slot_of_key.setdefault(key, len(code))
+        if slot == len(code):
+            code.append(entry)
+            nodes.append(node)
+        slot_of_id[id(node)] = slot
+    return Tape(code, nodes)
+
+
 def evaluate(e: Expr, x: float) -> EvalOutcome:
     """Evaluate e at x.  Total: undefinedness is reported, never raised.
 
     When several subexpressions are undefined at x, the reported reason
     belongs to the shallowest violating node, ties broken left to right.
     """
-    violations: list[tuple[int, int, UndefinedReason]] = []
-    counter = 0
-
-    def visit(node: Expr, depth: int) -> float | None:
-        nonlocal counter
-        counter += 1
-        order = counter
-
-        if isinstance(node, Constant):
-            return node.value
-        if isinstance(node, Variable):
-            return x
-        if isinstance(node, Neg):
-            v = visit(node.arg, depth + 1)
-            return None if v is None else -v
-        if isinstance(node, Add):
-            l = visit(node.left, depth + 1)
-            r = visit(node.right, depth + 1)
-            return None if l is None or r is None else _sat(l + r)
-        if isinstance(node, Sub):
-            l = visit(node.left, depth + 1)
-            r = visit(node.right, depth + 1)
-            return None if l is None or r is None else _sat(l - r)
-        if isinstance(node, Mul):
-            l = visit(node.left, depth + 1)
-            r = visit(node.right, depth + 1)
-            return None if l is None or r is None else _sat(l * r)
-        if isinstance(node, Div):
-            l = visit(node.left, depth + 1)
-            r = visit(node.right, depth + 1)
-            if r == 0.0:
-                violations.append((depth, order, UndefinedReason.DIV_BY_ZERO))
-                return None
-            return None if l is None or r is None else _sat(l / r)
-        if isinstance(node, Pow):
-            a = visit(node.base, depth + 1)
-            b = visit(node.exponent, depth + 1)
-            if a is None or b is None:
-                return None
-            v, bad = _pow_value(a, b)
-            if bad is not None:
-                violations.append((depth, order, bad))
-                return None
-            return v
-        assert isinstance(node, Func)
-        u = visit(node.arg, depth + 1)
-        if u is None:
-            return None
-        name = node.name
-        if name == "sin":
-            return math.sin(u)
-        if name == "cos":
-            return math.cos(u)
-        if name == "tan":
-            # Undefined only when the argument hits a pole exactly in floats.
-            if math.cos(u) == 0.0:
-                violations.append((depth, order, UndefinedReason.TAN_POLE))
-                return None
-            return _sat(math.tan(u))
-        if name == "exp":
-            try:
-                return math.exp(u)
-            except OverflowError:
-                return HUGE
-        if name == "ln":
-            if u <= 0.0:
-                violations.append((depth, order, UndefinedReason.LOG_NON_POSITIVE))
-                return None
-            return math.log(u)
-        if name == "sqrt":
-            if u < 0.0:
-                violations.append((depth, order, UndefinedReason.EVEN_ROOT_OF_NEGATIVE))
-                return None
-            return math.sqrt(u)
-        if name == "cbrt":
-            return cbrt(u)
-        assert name == "abs"
-        return abs(u)
-
-    value = visit(e, 0)
-    if value is not None:
-        return EvalOutcome.of(value)
-    violations.sort(key=lambda t: (t[0], t[1]))
-    return EvalOutcome.undefined(violations[0][2])
+    return lower(e).outcome(x)
 
 
 # --------------------------------------------------------------------------
@@ -412,6 +473,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
+            if not math.isfinite(float(tok.text)):
+                raise ParseError(f"number {tok.text!r} is too large", tok.pos)
             return Constant(float(tok.text))
         if tok.kind == "ident":
             self.advance()

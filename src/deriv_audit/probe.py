@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import EvalOutcome, Expr, _sat, evaluate
+from .expr import EvalOutcome, Expr, _sat, lower
 
 __all__ = [
     "QuotientProbe", "Verdict", "Differentiable", "VerticalTangent", "Cusp",
@@ -102,13 +102,14 @@ def probe(f: Expr, x0: float) -> QuotientProbe:
     Requires f to be defined at x0 (the scanner guarantees this); steps
     where f(x0±h) is undefined are recorded as such, not skipped.
     """
-    f0 = evaluate(f, x0)
+    tape = lower(f)
+    f0 = tape.outcome(x0)
     if not f0.is_defined:
         raise ValueError(f"probe requires the function to be defined at x0={x0!r}")
     schedule = tuple(H0 * RATIO**k for k in range(STEPS))
 
     def quotient(h: float) -> EvalOutcome:
-        fh = evaluate(f, x0 + h)
+        fh = tape.outcome(x0 + h)
         if not fh.is_defined:
             return fh
         return EvalOutcome.of(_sat((fh.value - f0.value) / h))

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 from .derivative import differentiate
 from .expr import (
-    EvalOutcome, Expr, Interval, evaluate, format_expr, format_number, parse,
+    EvalOutcome, Expr, Interval, format_expr, format_number, lower, parse,
 )
 from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, Verdict, VerticalTangent,
     classify, probe,
 )
-from .scan import CandidatePoint, IntervalNote, find_culprit, scan_detailed
+from .scan import CandidatePoint, IntervalNote, scan_detailed
 from .tangents import (
-    DEFAULT_GRID_N, Provenance, TangentPoint, combine_tangent_points,
+    DEFAULT_GRID_N, Grid, Provenance, TangentPoint, combine_tangent_points,
     grid_points, scan_roots,
 )
 
@@ -71,8 +71,9 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
     fp = differentiate(f).simplified
     derivative_text = format_expr(fp)
 
-    root_scan = scan_roots(fp, iv, grid_n)
-    scanned = scan_detailed(f, fp, iv, grid_n)
+    grid = Grid(fp, iv, grid_n)  # the one grid pass both scans read
+    root_scan = scan_roots(grid)
+    scanned = scan_detailed(f, grid)
     candidate_verdicts = tuple(
         (cand, classify(probe(f, cand.x0))) for cand in scanned.candidates
     )
@@ -158,11 +159,12 @@ class PointAudit:
 def audit_point(input_text: str, x0: float) -> PointAudit:
     f = parse(input_text)
     fp = differentiate(f).simplified
-    f_out = evaluate(f, x0)
-    fp_out = evaluate(fp, x0)
+    f_out = lower(f).outcome(x0)
+    fp_tape = lower(fp)
+    fp_out = fp_tape.outcome(x0)
     culprit = None
     if not fp_out.is_defined:
-        culprit = format_expr(find_culprit(fp, x0)[0])
+        culprit = format_expr(fp_tape.culprit(x0)[0])
     verdict = classify(probe(f, x0)) if f_out.is_defined else None
     return PointAudit(
         input_text=input_text,
@@ -185,12 +187,11 @@ def emit_plot_data(f: Expr, iv: Interval, n: int, path) -> None:
     if n < 2:
         raise ValueError("n must be at least 2")
     fp = differentiate(f).simplified
+    xs = grid_points(iv, n)
     lines = ["x,f,fprime"]
-    for x in grid_points(iv, n):
-        f_out = evaluate(f, x)
-        fp_out = evaluate(fp, x)
-        f_cell = format_number(f_out.value) if f_out.is_defined else ""
-        fp_cell = format_number(fp_out.value) if fp_out.is_defined else ""
+    for x, fv, fpv in zip(xs, lower(f).columns(xs)[-1], lower(fp).columns(xs)[-1]):
+        f_cell = "" if fv is None else format_number(fv)
+        fp_cell = "" if fpv is None else format_number(fpv)
         lines.append(f"{format_number(x)},{f_cell},{fp_cell}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -12,18 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (
-    Div, EvalOutcome, Expr, Func, Interval, UndefinedReason, children,
-    evaluate, subexpressions,
-)
-from .tangents import find_expression_roots, grid_points
+from .expr import Expr, Tape, UndefinedReason, lower
+from .tangents import DEDUP_TOL, Grid, column_roots
 
 __all__ = [
     "CandidatePoint", "IntervalNote", "DismissedPoint", "ScanResult",
-    "scan", "scan_detailed", "check_function_defined", "find_culprit",
+    "scan_detailed",
 ]
 
-DEDUP_TOL = 1e-9
 BOUNDARY_TOL = 1e-12
 # How far to each side we probe when deciding whether an undefined point is
 # isolated; matches the dedup scale.
@@ -65,34 +61,6 @@ class ScanResult:
     dismissed: tuple[DismissedPoint, ...]
 
 
-def check_function_defined(f: Expr, x0: float) -> EvalOutcome:
-    """First gate of the point audit: an undefined function value means the
-    point is not differentiable and drops out immediately."""
-    return evaluate(f, x0)
-
-
-def find_culprit(fp: Expr, x0: float) -> tuple[Expr, UndefinedReason]:
-    """Smallest undefined subexpression of fp at x0 (leftmost if tied)."""
-    node = fp
-    while True:
-        for child in children(node):
-            if not evaluate(child, x0).is_defined:
-                node = child
-                break
-        else:
-            return node, evaluate(node, x0).reason
-
-
-def _domain_sensitive_subexprs(fp: Expr) -> list[Expr]:
-    found: dict[Expr, None] = {}
-    for node in subexpressions(fp):
-        if isinstance(node, Div):
-            found.setdefault(node.right)
-        elif isinstance(node, Func) and node.name in ("sqrt", "ln"):
-            found.setdefault(node.arg)
-    return list(found)
-
-
 def _snap_values(r: float) -> list[float]:
     """Nearby decimal-representable values; a hole usually sits on one."""
     values = {r}
@@ -103,14 +71,14 @@ def _snap_values(r: float) -> list[float]:
     return sorted(values)
 
 
-def _bisect_boundary(fp: Expr, defined_x: float, undefined_x: float) -> float:
-    """Undefined-side point within BOUNDARY_TOL of the definedness flip."""
-    a, b = defined_x, undefined_x
+def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
+    """Undefined-side point within BOUNDARY_TOL of the definedness flip
+    between a defined point a and an undefined point b."""
     while abs(b - a) > BOUNDARY_TOL:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        if evaluate(fp, mid).is_defined:
+        if tape.value(mid) is not None:
             a = mid
         else:
             b = mid
@@ -129,64 +97,43 @@ def _dedup_nice(points: list[float]) -> list[float]:
     return [min(g, key=lambda v: (len(repr(v)), v)) for g in groups]
 
 
-def scan_detailed(f: Expr, fp: Expr, iv: Interval, grid_n: int) -> ScanResult:
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+def scan_detailed(f: Expr, grid: Grid) -> ScanResult:
+    """Holes of the grid's fp, the derivative expression of f, classified."""
+    tape, iv, xs = grid.tape, grid.iv, grid.xs
+    undefined = [v is None for v in grid.columns[tape.root]]
 
-    holes: list[float] = []
+    def holes_near(r: float) -> list[float]:
+        return [s for s in _snap_values(r) if iv.lo <= s <= iv.hi and tape.value(s) is None]
 
-    if iv.lo == iv.hi:
-        if not evaluate(fp, iv.lo).is_defined:
-            holes.append(iv.lo)
-        return _classify_holes(f, fp, iv, holes)
-
-    xs = grid_points(iv, grid_n)
-    outs = [evaluate(fp, x) for x in xs]
-
-    # Edges of undefined runs on the grid.  Interior points of an undefined
-    # region are skipped; its boundary is what matters.
-    last = len(xs) - 1
-    for i, (x, out) in enumerate(zip(xs, outs)):
-        if out.is_defined:
-            continue
-        left_defined = i > 0 and outs[i - 1].is_defined
-        right_defined = i < last and outs[i + 1].is_defined
-        if left_defined or right_defined:
-            holes.append(x)
-
-    # Defined/undefined flips between adjacent samples.
+    # A single point is a hole where fp is undefined.  On a grid, each
+    # defined/undefined flip between adjacent samples gives the edge of an
+    # undefined run and its bisected boundary.  Interior points of an
+    # undefined region are skipped; its boundary is what matters.
+    holes = [iv.lo] if len(xs) == 1 and undefined[0] else []
     for i in range(len(xs) - 1):
-        a_def, b_def = outs[i].is_defined, outs[i + 1].is_defined
-        if a_def == b_def:
+        if undefined[i] == undefined[i + 1]:
             continue
-        defined_x, undefined_x = (xs[i], xs[i + 1]) if a_def else (xs[i + 1], xs[i])
-        boundary = _bisect_boundary(fp, defined_x, undefined_x)
-        holes.append(boundary)
-        for s in _snap_values(boundary):
-            if iv.lo <= s <= iv.hi and not evaluate(fp, s).is_defined:
-                holes.append(s)
+        defined_x, undefined_x = (xs[i], xs[i + 1]) if undefined[i + 1] else (xs[i + 1], xs[i])
+        boundary = _bisect_boundary(tape, defined_x, undefined_x)
+        holes += [undefined_x, boundary, *holes_near(boundary)]
 
     # Exact zeros of denominators and of sqrt/ln arguments: holes the grid
     # can sail straight past without a definedness flip.
-    for sub in _domain_sensitive_subexprs(fp):
-        for r in find_expression_roots(sub, iv, grid_n):
-            for s in _snap_values(r):
-                if iv.lo <= s <= iv.hi and not evaluate(fp, s).is_defined:
-                    holes.append(s)
+    for slot in tape.domain_slots():
+        roots, _ = column_roots(xs, grid.columns[slot], lower(tape.nodes[slot]).value)
+        for r in roots:
+            holes += holes_near(r)
 
-    return _classify_holes(f, fp, iv, holes)
-
-
-def _classify_holes(f: Expr, fp: Expr, iv: Interval, holes: list[float]) -> ScanResult:
     candidates: list[CandidatePoint] = []
     notes: list[IntervalNote] = []
     dismissed: list[DismissedPoint] = []
+    f_tape = lower(f)
 
     for h in _dedup_nice(holes):
         left_x = h - ISOLATION_DELTA
         right_x = h + ISOLATION_DELTA
-        left_undefined = left_x >= iv.lo and not evaluate(fp, left_x).is_defined
-        right_undefined = right_x <= iv.hi and not evaluate(fp, right_x).is_defined
+        left_undefined = left_x >= iv.lo and tape.value(left_x) is None
+        right_undefined = right_x <= iv.hi and tape.value(right_x) is None
 
         if left_undefined or right_undefined:
             if left_undefined and right_undefined:
@@ -195,20 +142,20 @@ def _classify_holes(f: Expr, fp: Expr, iv: Interval, holes: list[float]) -> Scan
                 side, inside_x = "left", left_x
             else:
                 side, inside_x = "right", right_x
-            reason = evaluate(fp, inside_x).reason or evaluate(fp, h).reason
+            reason = tape.outcome(inside_x).reason or tape.outcome(h).reason
             notes.append(IntervalNote(x=h, undefined_side=side, reason=reason))
             continue
 
-        f_out = check_function_defined(f, h)
+        f_out = f_tape.outcome(h)
         if not f_out.is_defined:
             dismissed.append(DismissedPoint(
                 x0=h,
                 function_reason=f_out.reason,
-                derivative_reason=evaluate(fp, h).reason,
+                derivative_reason=tape.outcome(h).reason,
             ))
             continue
 
-        culprit, reason = find_culprit(fp, h)
+        culprit, reason = tape.culprit(h)
         candidates.append(CandidatePoint(
             x0=h, culprit=culprit, reason=reason, function_value=f_out.value,
         ))
@@ -218,8 +165,3 @@ def _classify_holes(f: Expr, fp: Expr, iv: Interval, holes: list[float]) -> Scan
         interval_notes=tuple(notes),
         dismissed=tuple(dismissed),
     )
-
-
-def scan(f: Expr, fp: Expr, iv: Interval, grid_n: int) -> list[CandidatePoint]:
-    """Candidate points on iv, sorted ascending, deduplicated within 1e-9."""
-    return list(scan_detailed(f, fp, iv, grid_n).candidates)

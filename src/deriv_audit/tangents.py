@@ -9,17 +9,17 @@ kept so a report can show the gap between them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .derivative import differentiate
-from .expr import Expr, Interval, evaluate
-from .probe import Differentiable, classify, probe
+from .expr import Expr, Interval, lower
+from .probe import Differentiable
 
 __all__ = [
-    "Provenance", "TangentPoint", "RootScan",
-    "grid_points", "scan_roots", "find_expression_roots",
-    "combine_tangent_points", "find_horizontal_tangents",
-    "DEFAULT_GRID_N",
+    "Provenance", "TangentPoint", "RootScan", "Grid",
+    "grid_points", "column_roots", "scan_roots",
+    "combine_tangent_points",
+    "DEFAULT_GRID_N", "DEDUP_TOL",
 ]
 
 DEFAULT_GRID_N = 4096
@@ -54,29 +54,47 @@ class RootScan:
 def grid_points(iv: Interval, n: int) -> list[float]:
     """n+1 equally spaced points; for even n the midpoint lands exactly."""
     span = iv.hi - iv.lo
-    xs = [iv.lo + (i * span) / n for i in range(n + 1)]
+    if math.isfinite(n * span):
+        xs = [iv.lo + (i * span) / n for i in range(n + 1)]
+    else:
+        # The span overflows: weigh the endpoints instead, which cannot.
+        xs = [iv.lo * ((n - i) / n) + iv.hi * (i / n) for i in range(n + 1)]
     xs[-1] = iv.hi
     return xs
 
 
-def dedup_sorted(points: list[float], tol: float = DEDUP_TOL) -> list[float]:
+class Grid:
+    """fp lowered once and sampled in one pass at the points `xs`: grid_n
+    steps over iv, or lo alone if iv is a point.  Every grid scan reads the
+    `columns` of fp (slot `tape.root`) and of its domain-sensitive nodes."""
+
+    __slots__ = ("tape", "iv", "xs", "columns")
+
+    def __init__(self, fp: Expr, iv: Interval, grid_n: int):
+        if grid_n < 2:
+            raise ValueError("grid_n must be at least 2")
+        self.tape, self.iv = lower(fp), iv
+        self.xs = [iv.lo] if iv.lo == iv.hi else grid_points(iv, grid_n)
+        self.columns = self.tape.columns(self.xs, self.tape.domain_slots())
+
+
+def dedup_sorted(points: list[float]) -> list[float]:
     out: list[float] = []
     for p in sorted(points):
-        if not out or p - out[-1] > tol:
+        if not out or p - out[-1] > DEDUP_TOL:
             out.append(p)
     return out
 
 
-def _bisect_root(fp: Expr, lo: float, hi: float, flo: float) -> float | None:
+def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
     """Shrink a sign-change bracket to ROOT_WIDTH_TOL; None on a hole inside."""
     while hi - lo > ROOT_WIDTH_TOL:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        out = evaluate(fp, mid)
-        if not out.is_defined:
+        v = value_at(mid)
+        if v is None:
             return None
-        v = out.value
         if v == 0.0:
             return mid
         if (v > 0.0) == (flo > 0.0):
@@ -84,62 +102,48 @@ def _bisect_root(fp: Expr, lo: float, hi: float, flo: float) -> float | None:
         else:
             hi = mid
     for r in (0.5 * (lo + hi), lo, hi):
-        out = evaluate(fp, r)
-        if out.is_defined and abs(out.value) <= ROOT_RESIDUAL_TOL:
+        v = value_at(r)
+        if v is not None and abs(v) <= ROOT_RESIDUAL_TOL:
             return r
     return None
 
 
-def scan_roots(fp: Expr, iv: Interval, grid_n: int) -> RootScan:
-    """Locate zeros of fp on iv by grid sampling plus bisection.
-
-    Exact grid zeros are taken directly; adjacent defined samples of opposite
-    sign are refined by bisection.  Grid points where |fp| is tiny without a
-    neighboring sign change are reported as unconfirmed (a touching zero the
-    sign scan cannot certify).
+def column_roots(xs: list[float], values: list, value_at) -> tuple[list[float], set[int]]:
+    """Zeros of an expression from its values at xs: exact grid zeros, plus
+    each sign change between adjacent defined samples bisected with
+    `value_at` (the value at one point).  Returns the sorted, deduplicated
+    roots and the indices i of the segments [xs[i], xs[i+1]] that change sign.
     """
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
-    if iv.lo == iv.hi:
-        out = evaluate(fp, iv.lo)
-        if out.is_defined and out.value == 0.0:
-            return RootScan(roots=(iv.lo,), unconfirmed=())
-        return RootScan(roots=(), unconfirmed=())
+    changes = [
+        i for i, (a, b) in enumerate(zip(values, values[1:]))
+        if a is not None and b is not None and (a > 0.0 > b or a < 0.0 < b)
+    ]
+    roots = [x for x, v in zip(xs, values) if v == 0.0]
+    for i in changes:
+        r = _bisect_root(value_at, xs[i], xs[i + 1], values[i])
+        if r is not None:
+            roots.append(r)
+    return dedup_sorted(roots), set(changes)
 
-    xs = grid_points(iv, grid_n)
-    outs = [evaluate(fp, x) for x in xs]
 
-    roots = [x for x, o in zip(xs, outs) if o.is_defined and o.value == 0.0]
-    segment_has_change = [False] * grid_n
-    for i in range(grid_n):
-        a, b = outs[i], outs[i + 1]
-        if not (a.is_defined and b.is_defined):
-            continue
-        if (a.value > 0.0 and b.value < 0.0) or (a.value < 0.0 and b.value > 0.0):
-            segment_has_change[i] = True
-            r = _bisect_root(fp, xs[i], xs[i + 1], a.value)
-            if r is not None:
-                roots.append(r)
+def scan_roots(grid: Grid) -> RootScan:
+    """Locate the zeros of the grid's fp by grid sampling plus bisection.
 
-    roots = dedup_sorted(roots)
+    Grid points where |fp| is tiny without a neighboring sign change are
+    reported as unconfirmed (a touching zero the sign scan cannot certify).
+    """
+    xs, values = grid.xs, grid.columns[grid.tape.root]
+    if len(xs) == 1:
+        return RootScan(roots=(xs[0],) if values[0] == 0.0 else (), unconfirmed=())
 
-    unconfirmed = []
-    for i, (x, o) in enumerate(zip(xs, outs)):
-        if not o.is_defined or o.value == 0.0 or abs(o.value) >= UNCONFIRMED_BAND:
-            continue
-        near_change = (i > 0 and segment_has_change[i - 1]) or (
-            i < grid_n and segment_has_change[i]
-        )
-        near_root = any(abs(x - r) <= DEDUP_TOL for r in roots)
-        if not near_change and not near_root:
-            unconfirmed.append(x)
-
+    roots, changes = column_roots(xs, values, grid.tape.value)
+    unconfirmed = [
+        x for i, (x, v) in enumerate(zip(xs, values))
+        if v is not None and v != 0.0 and abs(v) < UNCONFIRMED_BAND
+        and i - 1 not in changes and i not in changes
+        and not any(abs(x - r) <= DEDUP_TOL for r in roots)
+    ]
     return RootScan(roots=tuple(roots), unconfirmed=tuple(dedup_sorted(unconfirmed)))
-
-
-def find_expression_roots(fp: Expr, iv: Interval, grid_n: int) -> list[float]:
-    """Zeros of fp on iv (points where fp is defined and vanishes)."""
-    return list(scan_roots(fp, iv, grid_n).roots)
 
 
 def combine_tangent_points(
@@ -148,9 +152,10 @@ def combine_tangent_points(
     candidate_verdicts,
 ) -> list[TangentPoint]:
     """Merge naive expression roots with repaired candidate points."""
+    tape = lower(fp)
     points = [
         TangentPoint(x=r, provenance=Provenance.SYMBOLIC_EXPRESSION_ROOT,
-                     residual=abs(evaluate(fp, r).value))
+                     residual=abs(tape.value(r)))
         for r in expression_roots
     ]
     for cand, verdict in candidate_verdicts:
@@ -168,13 +173,3 @@ def combine_tangent_points(
         merged.append(p)
     return merged
 
-
-def find_horizontal_tangents(f: Expr, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> list[TangentPoint]:
-    """All horizontal tangent locations of f on iv, naive roots plus repairs."""
-    from .scan import scan  # deferred: the scanner reuses this module's root scan
-
-    fp = differentiate(f).simplified
-    roots = scan_roots(fp, iv, grid_n).roots
-    candidates = scan(f, fp, iv, grid_n)
-    verdicts = [(c, classify(probe(f, c.x0))) for c in candidates]
-    return combine_tangent_points(fp, roots, verdicts)

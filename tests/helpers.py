@@ -3,11 +3,13 @@ finite-difference oracles kept independent of the library's derivative path."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from deriv_audit.expr import (
-    Add, Constant, Div, Expr, Func, Mul, Neg, Pow, Sub, Variable, X,
-    FUNCTION_NAMES, evaluate, subexpressions,
+    Add, Constant, Div, EvalOutcome, Expr, Func, Mul, Neg, Pow, Sub,
+    UndefinedReason, Variable, X, FUNCTION_NAMES, HUGE, _pow_value, _sat, cbrt,
+    evaluate, lower,
 )
 
 FUNCS = sorted(FUNCTION_NAMES)
@@ -126,13 +128,10 @@ def max_intermediate(e: Expr, x: float) -> float | None:
     The cancellation floor of a difference quotient scales with the absolute
     rounding error of f, i.e. with the biggest intermediate value (a huge
     addend or trig argument), not with f's output."""
-    worst = 0.0
-    for node in subexpressions(e):
-        out = evaluate(node, x)
-        if not out.is_defined:
-            return None
-        worst = max(worst, abs(out.value))
-    return worst
+    values = lower(e).run(x)
+    if None in values:
+        return None
+    return max(abs(v) for v in values)
 
 
 def probe_regular_point(f: Expr, d: Expr, rng: random.Random, tries: int = 40) -> float | None:
@@ -170,3 +169,98 @@ def probe_regular_point(f: Expr, d: Expr, rng: random.Random, tries: int = 40) -
             continue
         return x0
     return None
+
+
+def reference_evaluate(e: Expr, x: float) -> EvalOutcome:
+    """The recursive evaluator the lowered Tape replaced, kept as the
+    oracle the Tape is tested against.
+
+    Evaluate e at x.  Total: undefinedness is reported, never raised.
+
+    When several subexpressions are undefined at x, the reported reason
+    belongs to the shallowest violating node, ties broken left to right.
+    """
+    violations: list[tuple[int, int, UndefinedReason]] = []
+    counter = 0
+
+    def visit(node: Expr, depth: int) -> float | None:
+        nonlocal counter
+        counter += 1
+        order = counter
+
+        if isinstance(node, Constant):
+            return node.value
+        if isinstance(node, Variable):
+            return x
+        if isinstance(node, Neg):
+            v = visit(node.arg, depth + 1)
+            return None if v is None else -v
+        if isinstance(node, Add):
+            l = visit(node.left, depth + 1)
+            r = visit(node.right, depth + 1)
+            return None if l is None or r is None else _sat(l + r)
+        if isinstance(node, Sub):
+            l = visit(node.left, depth + 1)
+            r = visit(node.right, depth + 1)
+            return None if l is None or r is None else _sat(l - r)
+        if isinstance(node, Mul):
+            l = visit(node.left, depth + 1)
+            r = visit(node.right, depth + 1)
+            return None if l is None or r is None else _sat(l * r)
+        if isinstance(node, Div):
+            l = visit(node.left, depth + 1)
+            r = visit(node.right, depth + 1)
+            if r == 0.0:
+                violations.append((depth, order, UndefinedReason.DIV_BY_ZERO))
+                return None
+            return None if l is None or r is None else _sat(l / r)
+        if isinstance(node, Pow):
+            a = visit(node.base, depth + 1)
+            b = visit(node.exponent, depth + 1)
+            if a is None or b is None:
+                return None
+            v, bad = _pow_value(a, b)
+            if bad is not None:
+                violations.append((depth, order, bad))
+                return None
+            return v
+        assert isinstance(node, Func)
+        u = visit(node.arg, depth + 1)
+        if u is None:
+            return None
+        name = node.name
+        if name == "sin":
+            return math.sin(u)
+        if name == "cos":
+            return math.cos(u)
+        if name == "tan":
+            # Undefined only when the argument hits a pole exactly in floats.
+            if math.cos(u) == 0.0:
+                violations.append((depth, order, UndefinedReason.TAN_POLE))
+                return None
+            return _sat(math.tan(u))
+        if name == "exp":
+            try:
+                return math.exp(u)
+            except OverflowError:
+                return HUGE
+        if name == "ln":
+            if u <= 0.0:
+                violations.append((depth, order, UndefinedReason.LOG_NON_POSITIVE))
+                return None
+            return math.log(u)
+        if name == "sqrt":
+            if u < 0.0:
+                violations.append((depth, order, UndefinedReason.EVEN_ROOT_OF_NEGATIVE))
+                return None
+            return math.sqrt(u)
+        if name == "cbrt":
+            return cbrt(u)
+        assert name == "abs"
+        return abs(u)
+
+    value = visit(e, 0)
+    if value is not None:
+        return EvalOutcome.of(value)
+    violations.sort(key=lambda t: (t[0], t[1]))
+    return EvalOutcome.undefined(violations[0][2])

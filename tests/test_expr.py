@@ -62,6 +62,11 @@ class TestParse:
             parse("x + $")
         assert exc.value.position == 4
 
+    def test_overflowing_literal_carries_offset(self):
+        with pytest.raises(ParseError, match="too large") as exc:
+            parse("x + 1e999")
+        assert exc.value.position == 4
+
 
 class TestFormat:
     def test_function_product(self):

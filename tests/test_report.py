@@ -195,6 +195,28 @@ class TestCli:
         assert main(["analyze", "x +", "--interval", "0", "1"]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,fragment", [
+        (["analyze", "x", "--interval", "1", "0"], "--interval"),
+        (["analyze", "x", "--interval", "nan", "1"], "--interval"),
+        (["analyze", "x", "--interval", "0", "inf"], "--interval"),
+        (["analyze", "x", "--interval", "-1", "1", "--grid", "1"], "--grid"),
+        (["analyze", "x", "--interval", "-1", "1", "--plot", "p.csv", "--plot-n", "1"], "--plot-n"),
+        (["classify", "x", "--at", "nan"], "--at"),
+        (["classify", "x", "--at", "inf"], "--at"),
+        (["classify", "x", "--at=-inf"], "--at"),
+        (["analyze", "x+1e999", "--interval", "0", "1"], "parse error"),
+        (["classify", "1e999*x", "--at", "0"], "parse error"),
+    ])
+    def test_bad_input_exits_two_with_one_line(self, capsys, argv, fragment, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("deriv-audit: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+        assert not list(tmp_path.iterdir())  # nothing written
+
     def test_io_error_exit_three(self, capsys, tmp_path):
         missing = tmp_path / "no" / "dir" / "plot.csv"
         code = main(["analyze", "x", "--interval", "0", "1", "--plot", str(missing)])

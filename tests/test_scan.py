@@ -1,16 +1,19 @@
 import pytest
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Interval, UndefinedReason, evaluate, format_expr, parse
-from deriv_audit.scan import (
-    check_function_defined, find_culprit, scan, scan_detailed,
-)
+from deriv_audit.expr import Interval, UndefinedReason, evaluate, format_expr, lower, parse
+from deriv_audit.scan import scan_detailed
+from deriv_audit.tangents import Grid
 
 IV = Interval(-1, 1)
 
 
 def _fp(text):
     return differentiate(parse(text)).simplified
+
+
+def scan(f, fp, iv, grid_n):
+    return list(scan_detailed(f, Grid(fp, iv, grid_n)).candidates)
 
 
 class TestScan:
@@ -48,7 +51,7 @@ class TestScan:
     def test_dismissed_when_function_also_undefined(self):
         f = parse("1/x")
         fp = _fp("1/x")
-        result = scan_detailed(f, fp, IV, 1000)
+        result = scan_detailed(f, Grid(fp, IV, 1000))
         assert result.candidates == ()
         assert len(result.dismissed) == 1
         d = result.dismissed[0]
@@ -58,7 +61,7 @@ class TestScan:
     def test_interval_undefinedness_is_a_note_not_a_candidate(self):
         f = parse("sqrt(x)")
         fp = _fp("sqrt(x)")  # 1/(2*sqrt(x)): undefined for x <= 0
-        result = scan_detailed(f, fp, IV, 1000)
+        result = scan_detailed(f, Grid(fp, IV, 1000))
         assert result.candidates == ()
         assert len(result.interval_notes) == 1
         note = result.interval_notes[0]
@@ -113,27 +116,27 @@ class TestSoundness:
 
 class TestStepOne:
     def test_defined_function(self):
-        out = check_function_defined(parse("cbrt(x)*sin(x^2)"), 0.0)
+        out = evaluate(parse("cbrt(x)*sin(x^2)"), 0.0)
         assert out.is_defined and out.value == 0.0
 
     def test_log_undefined(self):
-        out = check_function_defined(parse("ln(x)"), 0.0)
+        out = evaluate(parse("ln(x)"), 0.0)
         assert out.reason is UndefinedReason.LOG_NON_POSITIVE
 
     def test_reciprocal_undefined(self):
-        out = check_function_defined(parse("1/x"), 0.0)
+        out = evaluate(parse("1/x"), 0.0)
         assert out.reason is UndefinedReason.DIV_BY_ZERO
 
 
 class TestCulprit:
     def test_culprit_is_minimal(self):
         fp = _fp("cbrt(x)*sin(x^2)")
-        culprit, reason = find_culprit(fp, 0.0)
+        culprit, reason = lower(fp).culprit(0.0)
         assert reason is UndefinedReason.DIV_BY_ZERO
         assert format_expr(culprit) == "1/(3*cbrt(x^2))"
 
     def test_culprit_leftmost(self):
         fp = parse("1/x + ln(x)")
-        culprit, reason = find_culprit(fp, 0.0)
+        culprit, reason = lower(fp).culprit(0.0)
         assert reason is UndefinedReason.DIV_BY_ZERO
         assert format_expr(culprit) == "1/x"

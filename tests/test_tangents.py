@@ -5,9 +5,8 @@ import pytest
 from deriv_audit.derivative import differentiate
 from deriv_audit.expr import Interval, evaluate, parse
 from deriv_audit.probe import classify, probe
-from deriv_audit.tangents import (
-    Provenance, find_expression_roots, find_horizontal_tangents, scan_roots,
-)
+from deriv_audit.report import analyze
+from deriv_audit.tangents import Grid, Provenance, scan_roots
 
 IV = Interval(-1, 1)
 
@@ -34,54 +33,54 @@ def test_frozen_root_against_oracle():
 class TestExpressionRoots:
     def test_worked_example_has_no_expression_roots(self):
         fp = differentiate(parse("cbrt(x)*sin(x^2)")).simplified
-        assert find_expression_roots(fp, IV, 4096) == []
+        assert scan_roots(Grid(fp, IV, 4096)).roots == ()
 
     def test_linear(self):
-        assert find_expression_roots(parse("2*x"), IV, 4096) == [0.0]
+        assert scan_roots(Grid(parse("2*x"), IV, 4096)).roots == (0.0,)
 
     def test_counterexample_roots(self):
         fp = parse("(cos(x^2)-6*x^2*sin(x^2))/(3*cbrt(x^2))")
-        roots = find_expression_roots(fp, IV, 4096)
+        roots = scan_roots(Grid(fp, IV, 4096)).roots
         assert len(roots) == 2
         assert roots[0] == pytest.approx(-X_STAR, abs=1e-9)
         assert roots[1] == pytest.approx(X_STAR, abs=1e-9)
 
     def test_exact_grid_zero_without_sign_change(self):
         # 3x^2 touches zero at a grid node; the sign scan alone cannot see it
-        assert find_expression_roots(parse("3*x^2"), IV, 4096) == [0.0]
+        assert scan_roots(Grid(parse("3*x^2"), IV, 4096)).roots == (0.0,)
 
     def test_pole_crossing_rejected(self):
         # 1/x changes sign across 0 but has no root there
-        assert find_expression_roots(parse("1/x"), Interval(-1, 1.0001), 4096) == []
-        assert find_expression_roots(parse("1/x"), IV, 4096) == []
+        assert scan_roots(Grid(parse("1/x"), Interval(-1, 1.0001), 4096)).roots == ()
+        assert scan_roots(Grid(parse("1/x"), IV, 4096)).roots == ()
 
     def test_unconfirmed_touching_zero_flagged(self):
-        rs = scan_roots(parse("(x-0.25)^2+1e-11"), IV, 4096)
+        rs = scan_roots(Grid(parse("(x-0.25)^2+1e-11"), IV, 4096))
         assert rs.roots == ()
         assert len(rs.unconfirmed) == 1
         assert rs.unconfirmed[0] == pytest.approx(0.25, abs=1e-9)
 
     def test_roots_sorted_dedup(self):
-        roots = find_expression_roots(parse("sin(4*x)"), IV, 4096)
-        assert roots == sorted(roots)
+        roots = scan_roots(Grid(parse("sin(4*x)"), IV, 4096)).roots
+        assert list(roots) == sorted(roots)
         expected = [-math.pi / 4, 0.0, math.pi / 4]
         assert roots == pytest.approx(expected, abs=1e-9)
 
 
 class TestHorizontalTangents:
     def test_worked_example_repaired_point(self):
-        pts = find_horizontal_tangents(parse("cbrt(x)*sin(x^2)"), IV)
+        pts = analyze("cbrt(x)*sin(x^2)", IV).tangents
         assert len(pts) == 1
         assert pts[0].x == pytest.approx(0.0, abs=1e-9)
         assert pts[0].provenance is Provenance.REPAIRED_BY_DEFINITION
         assert pts[0].residual <= 1e-6
 
     def test_parabola(self):
-        pts = find_horizontal_tangents(parse("x^2"), IV)
+        pts = analyze("x^2", IV).tangents
         assert [(p.x, p.provenance) for p in pts] == [(0.0, Provenance.SYMBOLIC_EXPRESSION_ROOT)]
 
     def test_counterexample_excludes_vertical_tangent(self):
-        pts = find_horizontal_tangents(parse("cbrt(x)*cos(x^2)"), IV)
+        pts = analyze("cbrt(x)*cos(x^2)", IV).tangents
         assert len(pts) == 2
         assert [p.x for p in pts] == pytest.approx([-X_STAR, X_STAR], abs=1e-9)
         assert all(p.provenance is Provenance.SYMBOLIC_EXPRESSION_ROOT for p in pts)
@@ -92,7 +91,7 @@ class TestHorizontalTangents:
         for text in corpus:
             f = parse(text)
             fp = differentiate(f).simplified
-            for p in find_horizontal_tangents(f, IV):
+            for p in analyze(text, IV).tangents:
                 assert p.residual <= 1e-6
                 out = evaluate(fp, p.x)
                 if p.provenance is Provenance.SYMBOLIC_EXPRESSION_ROOT:
@@ -104,12 +103,12 @@ class TestHorizontalTangents:
 
     def test_no_point_carries_both_provenances(self):
         for text in ["cbrt(x)*sin(x^2)", "x^2", "x*abs(x)"]:
-            pts = find_horizontal_tangents(parse(text), IV)
+            pts = analyze(text, IV).tangents
             xs = [p.x for p in pts]
             assert len(xs) == len(set(xs))
 
     def test_symmetry_for_odd_functions(self):
         for text in ["cbrt(x)*sin(x^2)", "cbrt(x)*cos(x^2)", "x^3-x", "sin(x)"]:
-            xs = [p.x for p in find_horizontal_tangents(parse(text), IV)]
+            xs = [p.x for p in analyze(text, IV).tangents]
             mirrored = sorted(-x for x in xs)
             assert xs == pytest.approx(mirrored, abs=1e-9)

@@ -1,0 +1,183 @@
+"""The lowered evaluator against the recursive reference evaluator it
+replaced (helpers.reference_evaluate): the same value bits and the same
+undefined reason at every point, for the scalar path and for every column
+the grid pass fills."""
+
+import math
+import random
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deriv_audit.derivative import differentiate
+from deriv_audit.expr import (
+    Add, Constant, Div, Func, Interval, Mul, Neg, Pow, Sub, UndefinedReason, X,
+    evaluate, lower, parse,
+)
+from deriv_audit.report import analyze
+from deriv_audit.scan import scan_detailed
+from deriv_audit.tangents import Grid, grid_points
+from helpers import random_expr, reference_evaluate
+
+IV = Interval(-2, 2)
+
+
+def _bits(v):
+    return None if v is None else struct.pack("<d", v)
+
+
+def _same(out, ref):
+    return out.reason is ref.reason and _bits(out.value) == _bits(ref.value)
+
+
+def _points(e):
+    """Grid nodes, dyadics, and the holes of e itself."""
+    xs = grid_points(IV, 16) + [k / 64.0 for k in range(-130, 131, 7)]
+    scanned = scan_detailed(e, Grid(e, IV, 64))
+    xs += [c.x0 for c in scanned.candidates] + [d.x0 for d in scanned.dismissed]
+    xs += [n.x for n in scanned.interval_notes]
+    return xs
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 7))
+def test_scalar_path_matches_reference(seed, depth):
+    e = random_expr(random.Random(seed), depth)
+    tape = lower(e)
+    for x in _points(e):
+        ref = reference_evaluate(e, x)
+        assert _same(evaluate(e, x), ref), (x, ref)
+        assert _same(tape.outcome(x), ref), (x, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 7))
+def test_every_column_matches_reference(seed, depth):
+    e = random_expr(random.Random(seed), depth)
+    tape = lower(e)
+    xs = _points(e)
+    columns = tape.columns(xs, keep=range(len(tape.code)))
+    for node, column in zip(tape.nodes, columns):
+        for x, v in zip(xs, column):
+            assert _bits(v) == _bits(reference_evaluate(node, x).value), (x, node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
+def test_grid_pass_columns_of_the_derivative(seed, depth):
+    # exactly the columns analyze reads: f' and its domain-sensitive nodes
+    fp = differentiate(random_expr(random.Random(seed), depth)).simplified
+    grid = Grid(fp, IV, 64)
+    kept = [i for i, col in enumerate(grid.columns) if col is not None]
+    assert kept == sorted({grid.tape.root, *grid.tape.domain_slots()})
+    for i in kept:
+        for x, v in zip(grid.xs, grid.columns[i]):
+            assert _bits(v) == _bits(reference_evaluate(grid.tape.nodes[i], x).value)
+
+
+# Named cases: each operation with its own domain rule, the saturation rule,
+# and the shallowest-leftmost reason rule over shared subtrees.
+LN0 = Func("ln", X)
+NAMED = [
+    ("tan near poles", parse("tan(x)"), [math.pi / 2, -math.pi / 2, 3 * math.pi / 2]),
+    ("tan pole as a denominator", parse("1/tan(x)+tan(2*x)"), [math.pi / 4, math.pi / 2]),
+    ("0^0", Pow(Constant(0), Constant(0)), [0.0, 1.0]),
+    ("x^0 and x^x at 0", Add(Pow(X, Constant(0)), Pow(X, X)), [0.0, -0.0, 1.0]),
+    ("0 to a negative power", Pow(X, Neg(Constant(1))), [0.0]),
+    ("negative base, non-integer power", Pow(X, Constant(0.5)), [-1.0, -0.25, 4.0]),
+    ("negative base, integer power", Pow(X, Constant(3)), [-2.0, -1e200]),
+    ("negative base, non-integer power inside", parse("(x-1)^x*ln(x)"), [0.5, -0.5, 0.0]),
+    ("saturation: 1/exp(x^32) at 2", parse("1/exp(x^32)"), [2.0, 1.0]),
+    ("saturation: products and sums", parse("x*x+x*x-x^x"), [1e200, -1e200, 1e4]),
+    ("saturation: negative base overflow", Pow(X, Constant(301)), [-1e10, 1e10]),
+    ("shallowest violation wins", parse("ln(ln(x))+1/x"), [0.0]),
+    ("leftmost on a tie", parse("ln(x)+1/x"), [0.0, -1.0]),
+    ("shared subtree at two depths",
+     Add(Neg(Neg(Div(Constant(1), X))), Add(LN0, Div(Constant(1), X))), [0.0]),
+    ("same object at two depths",
+     Add(Neg(Neg(LN0)), Func("sqrt", Sub(X, LN0))), [0.0, -1.0]),
+    ("signed zero constants stay apart",
+     Mul(Mul(X, Constant(0.0)), Mul(X, Constant(-0.0))), [1.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("name,e,xs", NAMED, ids=[n for n, _, _ in NAMED])
+def test_named_case_matches_reference(name, e, xs):
+    for x in xs:
+        ref = reference_evaluate(e, x)
+        assert _same(evaluate(e, x), ref), (x, ref)
+    tape = lower(e)
+    columns = tape.columns(xs, keep=range(len(tape.code)))
+    for node, column in zip(tape.nodes, columns):
+        assert [_bits(v) for v in column] == [
+            _bits(reference_evaluate(node, x).value) for x in xs], node
+
+
+def test_saturated_case_value():
+    out = evaluate(parse("1/exp(x^32)"), 2.0)
+    assert out.is_defined and out.value == 1.0 / 1.7976931348623157e308
+
+
+def _neg_chain(n):
+    e = X
+    for _ in range(n):
+        e = Neg(e)
+    return e
+
+
+def _add_chain(n, last):
+    e = X
+    for _ in range(n - 2):
+        e = Add(e, X)
+    return Add(e, last)
+
+
+def test_deep_chains_evaluate_without_recursion():
+    neg = _neg_chain(5000)
+    add = _add_chain(5000, X)
+    with pytest.raises(RecursionError):
+        reference_evaluate(neg, 0.5)
+    with pytest.raises(RecursionError):
+        reference_evaluate(add, 0.5)
+    assert evaluate(neg, 0.5).value == 0.5
+    assert evaluate(_neg_chain(4999), 0.5).value == -0.5
+    assert evaluate(add, 0.5).value == 2500.0
+    assert lower(add).columns([0.5, -1.0])[-1] == [2500.0, -5000.0]
+
+
+def test_deep_chain_reason_and_culprit():
+    add = _add_chain(5000, Div(Constant(1), X))
+    assert evaluate(add, 0.0).reason is UndefinedReason.DIV_BY_ZERO
+    culprit, reason = lower(add).culprit(0.0)
+    assert culprit == Div(Constant(1), X)
+    assert reason is UndefinedReason.DIV_BY_ZERO
+
+
+def test_repeated_subtrees_share_one_slot():
+    tape = lower(parse("sin(x^2)+cos(x^2)*x^2"))
+    assert sum(1 for op, *_ in tape.code if op == "^") == 1
+    assert len(tape.code) == len(set(tape.code))
+
+
+class TestGridPoints:
+    def test_finite_span_nodes_unchanged(self):
+        for lo, hi, n in [(-1.0, 1.0, 4096), (0.1, 0.7, 1000), (-3.5, 2.25, 256),
+                          (-1e300, 1e300, 64)]:
+            span = hi - lo
+            old = [lo + (i * span) / n for i in range(n + 1)]
+            old[-1] = hi
+            assert [_bits(x) for x in grid_points(Interval(lo, hi), n)] == [_bits(x) for x in old]
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-1.7976931348623157e308,
+                                                         1.7976931348623157e308), (-3e307, 1e308)])
+    def test_overflowing_span_gives_finite_increasing_nodes(self, lo, hi):
+        xs = grid_points(Interval(lo, hi), 4096)
+        assert all(math.isfinite(x) for x in xs)
+        assert xs[0] == lo and xs[-1] == hi
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+
+    def test_wide_interval_finds_the_tangent_at_zero(self):
+        rep = analyze("x^2", Interval(-1e308, 1e308))
+        assert [t.x for t in rep.tangents] == [0.0]
+        assert rep.naive_tangents == (0.0,)
