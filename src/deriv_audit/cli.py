@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .expr import Interval, ParseError, format_expr, parse
@@ -25,8 +26,19 @@ from .report import (
 from .tangents import DEFAULT_GRID_N
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse reads an argument that starts with `-` as an option unless it
+    matches its negative-number pattern, which lacks the exponent form
+    (`-1e-3`).  Every subparser is built from this class and gets the wider
+    pattern too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="deriv-audit",
         description="Differentiate an expression and audit the points where "
         "the derivative expression is undefined although the function is not.",
@@ -84,7 +96,7 @@ def main(argv=None) -> int:
             iv = Interval(args.interval[0], args.interval[1])
             report = analyze(args.expression, iv, grid_n=args.grid)
             if args.plot:
-                emit_plot_data(parse(args.expression), iv, args.plot_n, args.plot)
+                emit_plot_data(report.f, report.fp, iv, args.plot_n, path=args.plot)
             if args.json:
                 print(json.dumps(to_json_dict(report), indent=2))
             else:

@@ -11,12 +11,11 @@ other factor is total.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .expr import (
-    Add, Constant, Div, Expr, Func, Mul, Neg, Pow, Sub, Variable,
-    _is_exact_integer, _pow_value, _sat, cbrt,
+    OPS, Add, Constant, Div, Expr, Func, Mul, Neg, Pow, Sub, Variable,
+    _is_exact_integer, children, op_of,
 )
 
 __all__ = ["DerivativeResult", "differentiate", "simplify"]
@@ -96,27 +95,15 @@ def simplify(e: Expr) -> Expr:
 
 
 def is_everywhere_defined(e: Expr) -> bool:
-    """Conservative syntactic check that e is defined for every real x."""
-    if isinstance(e, (Constant, Variable)):
-        return True
-    if isinstance(e, Neg):
-        return is_everywhere_defined(e.arg)
-    if isinstance(e, (Add, Sub, Mul)):
-        return is_everywhere_defined(e.left) and is_everywhere_defined(e.right)
-    if isinstance(e, Div):
-        return False
-    if isinstance(e, Pow):
-        c = e.exponent
-        return (
-            isinstance(c, Constant)
-            and _is_exact_integer(c.value)
-            and c.value >= 1.0
-            and is_everywhere_defined(e.base)
-        )
-    assert isinstance(e, Func)
-    if e.name in ("sin", "cos", "exp", "cbrt", "abs"):
-        return is_everywhere_defined(e.arg)
-    return False  # tan (float poles), sqrt, ln
+    """Conservative syntactic check that e is defined for every real x: each
+    operation is total, or a power with a positive integer constant exponent."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if OPS[op_of(node)].reason is not None and _positive_int_exponent(node) is None:
+            return False
+        stack.extend(children(node))
+    return True
 
 
 def _positive_int_exponent(e: Expr) -> float | None:
@@ -127,47 +114,14 @@ def _positive_int_exponent(e: Expr) -> float | None:
     return None
 
 
-def _fold_constant(e: Expr) -> Expr | None:
-    """Fold an operation on constants when it is defined there."""
-    if isinstance(e, Neg) and isinstance(e.arg, Constant):
-        return Constant(-e.arg.value)
-    if isinstance(e, (Add, Sub, Mul)) and isinstance(e.left, Constant) and isinstance(e.right, Constant):
-        a, b = e.left.value, e.right.value
-        if isinstance(e, Add):
-            return Constant(_sat(a + b))
-        if isinstance(e, Sub):
-            return Constant(_sat(a - b))
-        return Constant(_sat(a * b))
-    if isinstance(e, Div) and isinstance(e.left, Constant) and isinstance(e.right, Constant):
-        if e.right.value != 0.0:
-            return Constant(_sat(e.left.value / e.right.value))
+def _fold_constant(e: Expr, kids: list[Expr]) -> Expr | None:
+    """Fold e's operation on its simplified operands `kids` when they are
+    all constants and the operation is defined there."""
+    values = [k.value for k in kids if isinstance(k, Constant)]
+    if len(values) < len(kids):
         return None
-    if isinstance(e, Pow) and isinstance(e.base, Constant) and isinstance(e.exponent, Constant):
-        v, bad = _pow_value(e.base.value, e.exponent.value)
-        return Constant(v) if bad is None else None
-    if isinstance(e, Func) and isinstance(e.arg, Constant):
-        u = e.arg.value
-        name = e.name
-        if name == "sin":
-            return Constant(math.sin(u))
-        if name == "cos":
-            return Constant(math.cos(u))
-        if name == "tan":
-            return Constant(_sat(math.tan(u))) if math.cos(u) != 0.0 else None
-        if name == "exp":
-            try:
-                return Constant(math.exp(u))
-            except OverflowError:
-                return Constant(_sat(math.inf))
-        if name == "ln":
-            return Constant(math.log(u)) if u > 0.0 else None
-        if name == "sqrt":
-            return Constant(math.sqrt(u)) if u >= 0.0 else None
-        if name == "cbrt":
-            return Constant(cbrt(u))
-        if name == "abs":
-            return Constant(abs(u))
-    return None
+    v = OPS[op_of(e)].value(*values)
+    return None if v is None else Constant(v)
 
 
 def _is_const(e: Expr, v: float) -> bool:
@@ -175,9 +129,6 @@ def _is_const(e: Expr, v: float) -> bool:
 
 
 def _rewrite(e: Expr) -> Expr:
-    folded = _fold_constant(e)
-    if folded is not None:
-        return folded
     if isinstance(e, Neg) and isinstance(e.arg, Neg):
         return e.arg.arg
     if isinstance(e, Add):
@@ -222,11 +173,13 @@ def _rewrite(e: Expr) -> Expr:
 def _simplify_once(e: Expr) -> Expr:
     if isinstance(e, (Constant, Variable)):
         return e
-    if isinstance(e, Neg):
-        return _rewrite(Neg(_simplify_once(e.arg)))
-    if isinstance(e, Func):
-        return _rewrite(Func(e.name, _simplify_once(e.arg)))
-    if isinstance(e, Pow):
-        return _rewrite(Pow(_simplify_once(e.base), _simplify_once(e.exponent)))
-    ctor = type(e)
-    return _rewrite(ctor(_simplify_once(e.left), _simplify_once(e.right)))  # type: ignore[union-attr]
+    if isinstance(e, (Neg, Func)):
+        kids = [_simplify_once(e.arg)]
+    elif isinstance(e, Pow):
+        kids = [_simplify_once(e.base), _simplify_once(e.exponent)]
+    else:
+        kids = [_simplify_once(e.left), _simplify_once(e.right)]  # type: ignore[union-attr]
+    folded = _fold_constant(e, kids)
+    if folded is not None:
+        return folded
+    return _rewrite(Func(e.name, *kids) if isinstance(e, Func) else type(e)(*kids))

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 __all__ = [
     "Expr", "Constant", "Variable", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Func", "FUNCTION_NAMES", "X",
     "UndefinedReason", "EvalOutcome", "Interval", "ParseError",
     "parse", "format_expr", "evaluate", "format_number", "Tape", "lower",
+    "Op", "OPS", "op_of",
 ]
 
 FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "cbrt", "abs"})
@@ -201,13 +204,50 @@ def _exp(u: float) -> float:
         return HUGE
 
 
+class Op(NamedTuple):
+    value: Callable | None  # at defined operands; None where undefined
+    reason: UndefinedReason | None  # why it can be undefined; None if total
+
+
+#: The single definition of each operation, read by the tape, the undefined
+#: reason and the simplifier.  A leaf ("c" a constant, "x" the variable) has
+#: no value function.  A power's reason depends on its operands, see
+#: _pow_value: 0^0 and 0^negative are a division by zero.
+OPS: dict[str, Op] = {
+    "c": Op(None, None), "x": Op(None, None),
+    "neg": Op(operator.neg, None),
+    "+": Op(lambda u, v: _sat(u + v), None),
+    "-": Op(lambda u, v: _sat(u - v), None),
+    "*": Op(lambda u, v: _sat(u * v), None),
+    "/": Op(lambda u, v: None if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO),
+    "^": Op(lambda u, v: _pow_value(u, v)[0], UndefinedReason.POW_NEGATIVE_BASE),
+    "sin": Op(math.sin, None), "cos": Op(math.cos, None), "exp": Op(_exp, None),
+    "cbrt": Op(cbrt, None), "abs": Op(abs, None),
+    # tan is undefined only where the argument hits a pole exactly in floats
+    "tan": Op(lambda u: None if math.cos(u) == 0.0 else _sat(math.tan(u)),
+              UndefinedReason.TAN_POLE),
+    "ln": Op(lambda u: None if u <= 0.0 else math.log(u), UndefinedReason.LOG_NON_POSITIVE),
+    "sqrt": Op(lambda u: None if u < 0.0 else math.sqrt(u),
+               UndefinedReason.EVEN_ROOT_OF_NEGATIVE),
+}
+
+_OP_OF_CLASS = {Constant: "c", Variable: "x", Neg: "neg", Add: "+", Sub: "-", Mul: "*",
+                Div: "/", Pow: "^"}
+
+
+def op_of(e: Expr) -> str:
+    """The key in OPS of e's operation."""
+    return e.name if isinstance(e, Func) else _OP_OF_CLASS[type(e)]
+
+
 class Tape:
     """An expression lowered to a post-order sequence of slots.  Slot i,
-    `code[i] = (op, fn, a, b)`, applies fn to the values of earlier slots a
-    and b (b is None for a unary op; a leaf has no fn, and a constant holds
-    its value in a), so one forward sweep evaluates the expression and the
-    last slot is the root.  Equal subtrees share a slot, `nodes[i]` is slot
-    i's subtree, and a value is a float or None where it is undefined.
+    `code[i] = (op, fn, a, b)`, applies fn, `OPS[op].value`, to the values of
+    earlier slots a and b (b is None for a unary op; a leaf has no fn, and a
+    constant holds its value in a), so one forward sweep evaluates the
+    expression and the last slot is the root.  Equal subtrees share a slot,
+    `nodes[i]` is slot i's subtree, and a value is a float or None where it
+    is undefined.
     """
 
     __slots__ = ("code", "nodes", "root")
@@ -256,12 +296,8 @@ class Tape:
                 u, v = vals[a], None if b is None else vals[b]
                 if op == "/" and v == 0.0:
                     return UndefinedReason.DIV_BY_ZERO
-                if op == "^" and u is not None and v is not None:
-                    return _pow_value(u, v)[1]
-                if b is None and u is not None:
-                    return {"tan": UndefinedReason.TAN_POLE,
-                            "ln": UndefinedReason.LOG_NON_POSITIVE,
-                            "sqrt": UndefinedReason.EVEN_ROOT_OF_NEGATIVE}[op]
+                if u is not None and (b is None or v is not None):  # the op's own domain
+                    return _pow_value(u, v)[1] if op == "^" else OPS[op].reason
                 for k in self.operands(i):
                     if vals[k] is None and k not in seen:
                         seen.add(k)
@@ -306,19 +342,6 @@ class Tape:
 
 def lower(e: Expr) -> Tape:
     """Lower e to a Tape with an explicit stack, so depth is unbounded."""
-    # each operation's value at defined operands, or None where it is undefined
-    fns = {
-        "+": lambda u, v: _sat(u + v), "-": lambda u, v: _sat(u - v),
-        "*": lambda u, v: _sat(u * v), "^": lambda u, v: _pow_value(u, v)[0],
-        "/": lambda u, v: None if v == 0.0 else _sat(u / v),
-        "neg": lambda u: -u, "sin": math.sin, "cos": math.cos, "exp": _exp,
-        "cbrt": cbrt, "abs": abs, "x": None,
-        # tan is undefined only where the argument hits a pole exactly in floats
-        "tan": lambda u: None if math.cos(u) == 0.0 else _sat(math.tan(u)),
-        "ln": lambda u: None if u <= 0.0 else math.log(u),
-        "sqrt": lambda u: None if u < 0.0 else math.sqrt(u),
-    }
-    ops = {Variable: "x", Neg: "neg", Add: "+", Sub: "-", Mul: "*", Div: "/", Pow: "^"}
     code: list[tuple] = []
     nodes: list[Expr] = []
     slot_of_id: dict[int, int] = {}  # e holds every node, so ids stay unique
@@ -334,13 +357,13 @@ def lower(e: Expr) -> Tape:
         stack.pop()
         if id(node) in slot_of_id:
             continue
-        if isinstance(node, Constant):
+        op = op_of(node)
+        if op == "c":
             entry = ("c", None, node.value, None)
             key = ("c", node.value, math.copysign(1.0, node.value))  # keeps -0.0 apart
         else:
-            op = node.name if isinstance(node, Func) else ops[type(node)]
             slots = [slot_of_id[id(k)] for k in kids] + [None, None]
-            entry = key = (op, fns[op], slots[0], slots[1])
+            entry = key = (op, OPS[op].value, slots[0], slots[1])
         slot = slot_of_key.setdefault(key, len(code))
         if slot == len(code):
             code.append(entry)

@@ -64,6 +64,10 @@ class AnalysisReport:
     methodology_trace: tuple[TraceRecord, ...]
     unconfirmed_roots: tuple[float, ...]
     interval_notes: tuple[IntervalNote, ...]
+    # the parsed input and its simplified derivative, for emit_plot_data;
+    # neither is rendered
+    f: Expr
+    fp: Expr
 
 
 def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> AnalysisReport:
@@ -77,7 +81,7 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
     candidate_verdicts = tuple(
         (cand, classify(probe(f, cand.x0))) for cand in scanned.candidates
     )
-    tangents = tuple(combine_tangent_points(fp, root_scan.roots, candidate_verdicts))
+    tangents = tuple(combine_tangent_points(grid.tape, root_scan.roots, candidate_verdicts))
 
     pieces = _corrected_pieces(derivative_text, candidate_verdicts)
     trace = _methodology_trace(candidate_verdicts, scanned.dismissed)
@@ -93,6 +97,8 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
         methodology_trace=trace,
         unconfirmed_roots=root_scan.unconfirmed,
         interval_notes=scanned.interval_notes,
+        f=f,
+        fp=fp,
     )
 
 
@@ -181,12 +187,11 @@ def audit_point(input_text: str, x0: float) -> PointAudit:
 # plot data
 
 
-def emit_plot_data(f: Expr, iv: Interval, n: int, path) -> None:
-    """Write `x,f,fprime` CSV rows at n+1 uniform points; cells are left
-    empty where the value is undefined."""
+def emit_plot_data(f: Expr, fp: Expr, iv: Interval, n: int, path) -> None:
+    """Write `x,f,fprime` CSV rows for f and its derivative expression fp at
+    n+1 uniform points; cells are left empty where the value is undefined."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    fp = differentiate(f).simplified
     xs = grid_points(iv, n)
     lines = ["x,f,fprime"]
     for x, fv, fpv in zip(xs, lower(f).columns(xs)[-1], lower(fp).columns(xs)[-1]):

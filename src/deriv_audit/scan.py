@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expr, Tape, UndefinedReason, lower
-from .tangents import DEDUP_TOL, Grid, column_roots
+from .tangents import DEDUP_TOL, Grid, clusters, column_roots
 
 __all__ = [
     "CandidatePoint", "IntervalNote", "DismissedPoint", "ScanResult",
@@ -85,18 +85,6 @@ def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
     return b
 
 
-def _dedup_nice(points: list[float]) -> list[float]:
-    """Dedup within DEDUP_TOL, preferring the shortest decimal representative
-    (a grid or snapped hit over bisection residue)."""
-    groups: list[list[float]] = []
-    for p in sorted(points):
-        if groups and p - groups[-1][-1] <= DEDUP_TOL:
-            groups[-1].append(p)
-        else:
-            groups.append([p])
-    return [min(g, key=lambda v: (len(repr(v)), v)) for g in groups]
-
-
 def scan_detailed(f: Expr, grid: Grid) -> ScanResult:
     """Holes of the grid's fp, the derivative expression of f, classified."""
     tape, iv, xs = grid.tape, grid.iv, grid.xs
@@ -129,7 +117,10 @@ def scan_detailed(f: Expr, grid: Grid) -> ScanResult:
     dismissed: list[DismissedPoint] = []
     f_tape = lower(f)
 
-    for h in _dedup_nice(holes):
+    # One hole per cluster: the shortest decimal representative, a grid or
+    # snapped hit over bisection residue.
+    for group in clusters(holes, float):
+        h = min(group, key=lambda v: (len(repr(v)), v))
         left_x = h - ISOLATION_DELTA
         right_x = h + ISOLATION_DELTA
         left_undefined = left_x >= iv.lo and tape.value(left_x) is None

@@ -12,12 +12,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .expr import Expr, Interval, lower
+from .expr import Expr, Interval, Tape, lower
 from .probe import Differentiable
 
 __all__ = [
     "Provenance", "TangentPoint", "RootScan", "Grid",
-    "grid_points", "column_roots", "scan_roots",
+    "grid_points", "clusters", "column_roots", "scan_roots",
     "combine_tangent_points",
     "DEFAULT_GRID_N", "DEDUP_TOL",
 ]
@@ -78,12 +78,20 @@ class Grid:
         self.columns = self.tape.columns(self.xs, self.tape.domain_slots())
 
 
+def clusters(items, x) -> list[list]:
+    """The items sorted by x(item), grouped where the gap to the previous
+    item is at most DEDUP_TOL; each caller picks a group's representative."""
+    groups: list[list] = []
+    for item in sorted(items, key=x):
+        if groups and x(item) - x(groups[-1][-1]) <= DEDUP_TOL:
+            groups[-1].append(item)
+        else:
+            groups.append([item])
+    return groups
+
+
 def dedup_sorted(points: list[float]) -> list[float]:
-    out: list[float] = []
-    for p in sorted(points):
-        if not out or p - out[-1] > DEDUP_TOL:
-            out.append(p)
-    return out
+    return [group[0] for group in clusters(points, float)]
 
 
 def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
@@ -147,12 +155,12 @@ def scan_roots(grid: Grid) -> RootScan:
 
 
 def combine_tangent_points(
-    fp: Expr,
+    tape: Tape,
     expression_roots: list[float] | tuple[float, ...],
     candidate_verdicts,
 ) -> list[TangentPoint]:
-    """Merge naive expression roots with repaired candidate points."""
-    tape = lower(fp)
+    """Merge naive expression roots, zeros of the lowered fp `tape`, with
+    repaired candidate points."""
     points = [
         TangentPoint(x=r, provenance=Provenance.SYMBOLIC_EXPRESSION_ROOT,
                      residual=abs(tape.value(r)))
@@ -165,11 +173,5 @@ def combine_tangent_points(
                 provenance=Provenance.REPAIRED_BY_DEFINITION,
                 residual=abs(verdict.value),
             ))
-    points.sort(key=lambda p: p.x)
-    merged: list[TangentPoint] = []
-    for p in points:
-        if merged and p.x - merged[-1].x <= DEDUP_TOL:
-            continue
-        merged.append(p)
-    return merged
+    return [group[0] for group in clusters(points, lambda p: p.x)]
 

@@ -1,17 +1,50 @@
 import random
+import struct
 import sys
 
 import pytest
 
-from deriv_audit.derivative import differentiate, simplify
+from deriv_audit.derivative import differentiate, is_everywhere_defined, simplify
 from deriv_audit.expr import (
-    Add, Constant, Div, Func, Mul, Neg, Pow, X, evaluate, format_expr, parse,
+    HUGE, OPS, Add, Constant, Div, Func, Mul, Neg, Pow, Sub, X, evaluate, format_expr,
+    lower, op_of, parse,
 )
 from helpers import central_diff, eval_defined, fd_regular_point, random_expr
 
 
 def rel_close(a, b, rel):
     return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
+
+
+def _bits(v):
+    return None if v is None else struct.pack("<d", v)
+
+
+# Every operation on constant operands, at the edges of its domain; None
+# where it is undefined.
+FOLD_CASES = [
+    (Add(Constant(1), Constant(2)), 3.0),
+    (Sub(Constant(1), Constant(2)), -1.0),
+    (Mul(Constant(HUGE), Constant(2)), HUGE),  # saturates
+    (Div(Constant(1), Constant(4)), 0.25),
+    (Div(Constant(1), Constant(0)), None),
+    (Pow(Constant(0), Constant(0)), None),
+    (Pow(Constant(0), Constant(-1)), None),
+    (Pow(Constant(-8), Constant(1 / 3)), None),
+    (Pow(Constant(-2), Constant(3)), -8.0),
+    (Neg(Constant(0)), -0.0),
+    (Func("sin", Constant(0)), 0.0),
+    (Func("cos", Constant(0)), 1.0),
+    (Func("tan", Constant(0)), 0.0),
+    (Func("exp", Constant(1000)), HUGE),  # saturates
+    (Func("ln", Constant(0)), None),
+    (Func("ln", Constant(-1)), None),
+    (Func("ln", Constant(1)), 0.0),
+    (Func("sqrt", Constant(-1)), None),
+    (Func("sqrt", Constant(4)), 2.0),
+    (Func("cbrt", Constant(-8)), -2.0),
+    (Func("abs", Constant(-3)), 3.0),
+]
 
 
 class TestRules:
@@ -76,9 +109,26 @@ class TestSimplify:
         e = Mul(Pow(X, Constant(-1)), Pow(X, Constant(2)))
         assert simplify(e) == e
 
-    def test_division_by_zero_not_folded(self):
-        e = parse("1/0")
-        assert simplify(e) == e
+    def test_fold_cases_cover_every_op(self):
+        assert {op_of(e) for e, _ in FOLD_CASES} == set(OPS) - {"c", "x"}
+
+    @pytest.mark.parametrize("e,expected", FOLD_CASES,
+                             ids=[format_expr(e) for e, _ in FOLD_CASES])
+    def test_folds_exactly_where_the_tape_is_defined(self, e, expected):
+        value = lower(e).value(0.0)
+        assert _bits(value) == _bits(expected)
+        s = simplify(e)
+        if value is None:
+            assert s == e
+        else:
+            assert isinstance(s, Constant) and _bits(s.value) == _bits(value)
+
+    def test_totality_check_on_a_deep_chain(self):
+        total, partial = X, Func("ln", X)
+        for _ in range(5000):
+            total, partial = Neg(total), Neg(partial)
+        assert is_everywhere_defined(total)
+        assert not is_everywhere_defined(partial)
 
     def test_idempotent(self):
         rng = random.Random(3104)

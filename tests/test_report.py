@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from deriv_audit.cli import main
+from deriv_audit.derivative import differentiate
 from deriv_audit.expr import Interval, ParseError, parse
 from deriv_audit.probe import Differentiable, VerticalTangent
 from deriv_audit.report import (
@@ -125,10 +127,15 @@ class TestPointAudit:
         assert d["step3"] is None
 
 
+def _plot(text, n, path):
+    f = parse(text)
+    emit_plot_data(f, differentiate(f).simplified, IV, n, path)
+
+
 class TestPlotData:
     def test_hole_leaves_cell_empty(self, tmp_path):
         path = tmp_path / "plot.csv"
-        emit_plot_data(parse("cbrt(x)*cos(x^2)"), IV, 4, path)
+        _plot("cbrt(x)*cos(x^2)", 4, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,f,fprime"
         assert len(lines) == 6
@@ -137,13 +144,13 @@ class TestPlotData:
 
     def test_linear_rows(self, tmp_path):
         path = tmp_path / "plot.csv"
-        emit_plot_data(parse("x"), IV, 2, path)
+        _plot("x", 2, path)
         assert path.read_text(encoding="utf-8") == "x,f,fprime\n-1,-1,1\n0,0,1\n1,1,1\n"
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_plot_data(parse("cbrt(x)*sin(x^2)"), IV, 100, a)
-        emit_plot_data(parse("cbrt(x)*sin(x^2)"), IV, 100, b)
+        _plot("cbrt(x)*sin(x^2)", 100, a)
+        _plot("cbrt(x)*sin(x^2)", 100, b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -216,6 +223,30 @@ class TestCli:
         assert captured.err.startswith("deriv-audit: ") and captured.err.count("\n") == 1
         assert fragment in captured.err
         assert not list(tmp_path.iterdir())  # nothing written
+
+    def test_negative_exponent_form_interval(self, capsys):
+        assert main(["analyze", "x^2", "--interval", "-1e308", "1e308", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [t["x"] for t in data["tangents"]] == [0.0]
+
+    def test_negative_exponent_form_point(self, capsys):
+        assert main(["classify", "x", "--at", "-1e-3", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["x"] == -1e-3
+
+    def test_plot_parses_and_differentiates_once(self, capsys, tmp_path, monkeypatch):
+        calls = {"parse": 0, "differentiate": 0}
+        for name, original in (("parse", parse), ("differentiate", differentiate)):
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            for key, module in list(sys.modules.items()):
+                if key.startswith("deriv_audit") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        argv = ["analyze", "cbrt(x)*sin(x^2)", "--interval", "-1", "1",
+                "--plot", str(tmp_path / "plot.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == {"parse": 1, "differentiate": 1}
 
     def test_io_error_exit_three(self, capsys, tmp_path):
         missing = tmp_path / "no" / "dir" / "plot.csv"
