@@ -16,6 +16,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -31,6 +32,7 @@ FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "cbrt", "a
 # Overflow saturates here; definedness is a domain property, never a
 # magnitude artifact.
 HUGE = 1.7976931348623157e308
+NAN = math.nan
 
 
 class Expr:
@@ -207,6 +209,40 @@ def _exp(u: float) -> float:
 class Op(NamedTuple):
     value: Callable | None  # at defined operands; None where undefined
     reason: UndefinedReason | None  # why it can be undefined; None if total
+    column: Callable | None  # see _column; None where only `value` is exact
+
+
+# Column forms.  Inside a Tape.columns sweep NaN marks an undefined value:
+# constants and points are finite and every op saturates, so no defined value
+# is NaN.  A column form maps C-level builtins over whole operand columns,
+# which carries NaN through.  Where it could differ from `value` it raises
+# (OverflowError from exp and ^, ValueError from a domain error in sqrt, ln
+# and ^) or returns None (an inf to saturate, a ^ whose exponent is not a
+# positive constant); `value` then computes that column point by point, as
+# it does every column of tan.  A zero denominator is made NaN first.
+
+
+def _no_inf(col: list[float]) -> list[float] | None:
+    """col, or None if an entry overflowed to +-inf and must saturate."""
+    return col if math.isfinite(sum(col)) or not any(map(math.isinf, col)) else None
+
+
+def _div_column(u: list[float], v: list[float]) -> list[float] | None:
+    if 0.0 in v:  # u/0 is undefined: NaN instead of ZeroDivisionError
+        v = [NAN if d == 0.0 else d for d in v]
+    return _no_inf(list(map(operator.truediv, u, v)))
+
+
+def _pow_column(u: list[float], v: list[float]) -> list[float] | None:
+    # Only a positive constant exponent: math.pow(nan, 0), math.pow(1, nan)
+    # and math.pow(0, 0) are 1.0 where the tape is undefined.
+    p = v[0] if v else 0.0
+    if not p > 0.0 or v.count(p) != len(v):
+        return None
+    col = list(map(math.pow, u, repeat(p)))
+    if p % 2.0 == 1.0 and 0.0 in u:  # math.pow(-0.0, odd) is -0.0; 0^p is +0.0
+        col = [0.0 if a == 0.0 else r for a, r in zip(u, col)]
+    return col
 
 
 #: The single definition of each operation, read by the tape, the undefined
@@ -214,22 +250,45 @@ class Op(NamedTuple):
 #: no value function.  A power's reason depends on its operands, see
 #: _pow_value: 0^0 and 0^negative are a division by zero.
 OPS: dict[str, Op] = {
-    "c": Op(None, None), "x": Op(None, None),
-    "neg": Op(operator.neg, None),
-    "+": Op(lambda u, v: _sat(u + v), None),
-    "-": Op(lambda u, v: _sat(u - v), None),
-    "*": Op(lambda u, v: _sat(u * v), None),
-    "/": Op(lambda u, v: None if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO),
-    "^": Op(lambda u, v: _pow_value(u, v)[0], UndefinedReason.POW_NEGATIVE_BASE),
-    "sin": Op(math.sin, None), "cos": Op(math.cos, None), "exp": Op(_exp, None),
-    "cbrt": Op(cbrt, None), "abs": Op(abs, None),
+    "c": Op(None, None, None), "x": Op(None, None, None),
+    "neg": Op(operator.neg, None, lambda u: list(map(operator.neg, u))),
+    "+": Op(lambda u, v: _sat(u + v), None, lambda u, v: _no_inf(list(map(operator.add, u, v)))),
+    "-": Op(lambda u, v: _sat(u - v), None, lambda u, v: _no_inf(list(map(operator.sub, u, v)))),
+    "*": Op(lambda u, v: _sat(u * v), None, lambda u, v: _no_inf(list(map(operator.mul, u, v)))),
+    "/": Op(lambda u, v: None if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO,
+            _div_column),
+    "^": Op(lambda u, v: _pow_value(u, v)[0], UndefinedReason.POW_NEGATIVE_BASE, _pow_column),
+    "sin": Op(math.sin, None, lambda u: list(map(math.sin, u))),
+    "cos": Op(math.cos, None, lambda u: list(map(math.cos, u))),
+    "exp": Op(_exp, None, lambda u: list(map(math.exp, u))),
+    "cbrt": Op(cbrt, None,  # pow(a, b) is a ** b, as in cbrt
+               lambda u: list(map(math.copysign, map(pow, map(abs, u), repeat(1.0 / 3.0)), u))),
+    "abs": Op(abs, None, lambda u: list(map(abs, u))),
     # tan is undefined only where the argument hits a pole exactly in floats
     "tan": Op(lambda u: None if math.cos(u) == 0.0 else _sat(math.tan(u)),
-              UndefinedReason.TAN_POLE),
-    "ln": Op(lambda u: None if u <= 0.0 else math.log(u), UndefinedReason.LOG_NON_POSITIVE),
+              UndefinedReason.TAN_POLE, None),
+    "ln": Op(lambda u: None if u <= 0.0 else math.log(u), UndefinedReason.LOG_NON_POSITIVE,
+             lambda u: list(map(math.log, u))),
     "sqrt": Op(lambda u: None if u < 0.0 else math.sqrt(u),
-               UndefinedReason.EVEN_ROOT_OF_NEGATIVE),
+               UndefinedReason.EVEN_ROOT_OF_NEGATIVE, lambda u: list(map(math.sqrt, u))),
 }
+
+
+def _column(op: str, args: tuple[list[float], ...]) -> list[float]:
+    """op over the operand columns args, NaN where it is undefined: its
+    column form where that is exact, else its value at each point."""
+    fn, _, form = OPS[op]
+    if form is not None:
+        try:
+            col = form(*args)
+        except (OverflowError, ValueError):
+            col = None
+        if col is not None:
+            return col
+    if len(args) == 1:
+        return [NAN if u != u or (r := fn(u)) is None else r for u in args[0]]
+    return [NAN if u != u or v != v or (r := fn(u, v)) is None else r for u, v in zip(*args)]
+
 
 _OP_OF_CLASS = {Constant: "c", Variable: "x", Neg: "neg", Add: "+", Sub: "-", Mul: "*",
                 Div: "/", Pow: "^"}
@@ -314,24 +373,23 @@ class Tape:
         return self.nodes[i], self.reason(vals, i)
 
     def columns(self, xs: list[float], keep=()) -> list[list | None]:
-        """Each slot's values at the points xs, in one sweep.  Only the root's
-        column and those of the slots in `keep` are returned; every other
-        one is dropped (None) after its last reader, so few are alive."""
+        """Each slot's values at the finite points xs, in one sweep, a
+        column at a time (see _column).  Only the root's column and those of
+        the slots in `keep` are returned, with None where undefined; every
+        other one is dropped (None) after its last reader, so few are alive."""
         keep = {*keep, self.root}
         last_read = {k: i for i in range(len(self.code)) for k in self.operands(i)}
         cols: list[list | None] = []
         for i, (op, fn, a, b) in enumerate(self.code):
             if fn is None:
                 cols.append(xs if op == "x" else [a] * len(xs))
-            elif b is None:
-                cols.append([None if u is None else fn(u) for u in cols[a]])
             else:
-                cols.append([None if u is None or v is None else fn(u, v)
-                             for u, v in zip(cols[a], cols[b])])
+                cols.append(_column(op, (cols[a],) if b is None else (cols[a], cols[b])))
             for k in self.operands(i):
                 if last_read[k] == i and k not in keep:
                     cols[k] = None
-        return cols
+        return [col if col is None or math.isfinite(sum(col))
+                else [None if v != v else v for v in col] for col in cols]
 
     def domain_slots(self) -> list[int]:
         """Slots whose zeros or sign can make the expression undefined:

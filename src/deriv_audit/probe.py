@@ -99,24 +99,25 @@ class Inconclusive(Verdict):
 def probe(f: Expr, x0: float) -> QuotientProbe:
     """Sample both one-sided quotient sequences of f at x0.
 
-    Requires f to be defined at x0 (the scanner guarantees this); steps
-    where f(x0±h) is undefined are recorded as such, not skipped.
+    Requires f to be defined at the finite x0 (the scanner guarantees
+    this); steps where f(x0±h) is undefined are recorded as such, with
+    their reason, not skipped.
     """
+    if not math.isfinite(x0):
+        raise ValueError(f"probe requires a finite x0, got {x0!r}")
     tape = lower(f)
     f0 = tape.outcome(x0)
     if not f0.is_defined:
         raise ValueError(f"probe requires the function to be defined at x0={x0!r}")
     schedule = tuple(H0 * RATIO**k for k in range(STEPS))
-
-    def quotient(h: float) -> EvalOutcome:
-        fh = tape.outcome(x0 + h)
-        if not fh.is_defined:
-            return fh
-        return EvalOutcome.of(_sat((fh.value - f0.value) / h))
-
-    right = tuple(quotient(h) for h in schedule)
-    left = tuple(quotient(-h) for h in schedule)
-    return QuotientProbe(x0=x0, schedule=schedule, right=right, left=left)
+    steps = schedule + tuple(-h for h in schedule)  # the right side, then the left
+    values = tape.columns([x0 + h for h in steps])[tape.root]
+    quotients = tuple(
+        tape.outcome(x0 + h) if fh is None else EvalOutcome.of(_sat((fh - f0.value) / h))
+        for h, fh in zip(steps, values)
+    )
+    return QuotientProbe(x0=x0, schedule=schedule, right=quotients[:STEPS],
+                         left=quotients[STEPS:])
 
 
 @dataclass(frozen=True, slots=True)

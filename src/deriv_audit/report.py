@@ -8,11 +8,11 @@ the corrected one; the difference is exactly the repaired points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .derivative import differentiate
 from .expr import (
-    EvalOutcome, Expr, Interval, format_expr, format_number, lower, parse,
+    EvalOutcome, Expr, Interval, Tape, format_expr, format_number, lower, parse,
 )
 from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, Verdict, VerticalTangent,
@@ -64,10 +64,12 @@ class AnalysisReport:
     methodology_trace: tuple[TraceRecord, ...]
     unconfirmed_roots: tuple[float, ...]
     interval_notes: tuple[IntervalNote, ...]
-    # the parsed input and its simplified derivative, for emit_plot_data;
-    # neither is rendered
+    # the parsed input and the grid's tape of its simplified derivative
+    # (`fp_tape.nodes[fp_tape.root]`), for emit_plot_data; neither is
+    # rendered, and the tape, which derivative_text spells out, is left out
+    # of == and repr
     f: Expr
-    fp: Expr
+    fp_tape: Tape = field(compare=False, repr=False)
 
 
 def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> AnalysisReport:
@@ -98,7 +100,7 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
         unconfirmed_roots=root_scan.unconfirmed,
         interval_notes=scanned.interval_notes,
         f=f,
-        fp=fp,
+        fp_tape=grid.tape,
     )
 
 
@@ -187,14 +189,15 @@ def audit_point(input_text: str, x0: float) -> PointAudit:
 # plot data
 
 
-def emit_plot_data(f: Expr, fp: Expr, iv: Interval, n: int, path) -> None:
-    """Write `x,f,fprime` CSV rows for f and its derivative expression fp at
-    n+1 uniform points; cells are left empty where the value is undefined."""
+def emit_plot_data(f: Expr, fp_tape: Tape, iv: Interval, n: int, path) -> None:
+    """Write `x,f,fprime` CSV rows for f and its derivative expression, the
+    lowered `fp_tape`, at n+1 uniform points; cells are left empty where the
+    value is undefined."""
     if n < 2:
         raise ValueError("n must be at least 2")
     xs = grid_points(iv, n)
     lines = ["x,f,fprime"]
-    for x, fv, fpv in zip(xs, lower(f).columns(xs)[-1], lower(fp).columns(xs)[-1]):
+    for x, fv, fpv in zip(xs, lower(f).columns(xs)[-1], fp_tape.columns(xs)[-1]):
         f_cell = "" if fv is None else format_number(fv)
         fp_cell = "" if fpv is None else format_number(fpv)
         lines.append(f"{format_number(x)},{f_cell},{fp_cell}")

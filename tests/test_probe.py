@@ -2,12 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Constant, EvalOutcome, Mul, Sub, X, parse
+from deriv_audit.expr import Constant, EvalOutcome, Mul, Sub, X, _sat, lower, parse
 from deriv_audit.probe import (
-    Corner, Cusp, Differentiable, Inconclusive, QuotientProbe, VerticalTangent,
-    classify, probe,
+    H0, RATIO, STEPS, Corner, Cusp, Differentiable, Inconclusive, QuotientProbe,
+    VerticalTangent, classify, probe,
 )
 from helpers import eval_defined, probe_regular_point, random_expr, substitute_var
 
@@ -24,6 +25,21 @@ def _oracle_quotients(func, x0, ks):
 
 def _cbrt(v):
     return math.copysign(abs(v) ** (1.0 / 3.0), v)
+
+
+def _scalar_probe(f, x0):
+    """The probe one step at a time on the tape's scalar path, each
+    undefined step with its reason."""
+    tape = lower(f)
+    f0 = tape.outcome(x0).value
+    schedule = tuple(H0 * RATIO**k for k in range(STEPS))
+
+    def quotient(h):
+        fh = tape.outcome(x0 + h)
+        return fh if not fh.is_defined else EvalOutcome.of(_sat((fh.value - f0) / h))
+
+    return QuotientProbe(x0=x0, schedule=schedule, right=tuple(quotient(h) for h in schedule),
+                         left=tuple(quotient(-h) for h in schedule))
 
 
 class TestProbe:
@@ -70,6 +86,33 @@ class TestProbe:
     def test_precondition(self):
         with pytest.raises(ValueError):
             probe(parse("1/x"), 0.0)
+        with pytest.raises(ValueError):
+            probe(parse("ln(x)"), 0.0)
+        for x0 in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                probe(parse("x"), x0)
+
+    @pytest.mark.parametrize("text,x0", [
+        ("sqrt(x)", 0.0), ("sqrt(x)", 1e-9), ("ln(x)", 1e-9),
+        ("sqrt(x)+ln(1-x)/(x-0.05)", 1e-9), ("(x-1e-9)^0.5*tan(x)", 1e-9),
+    ])
+    def test_steps_match_the_scalar_path(self, text, x0):
+        f = parse(text)
+        p = probe(f, x0)
+        assert p == _scalar_probe(f, x0)
+        assert repr(p) == repr(_scalar_probe(f, x0))  # signed zeros too
+        steps = p.right + p.left
+        assert any(o.is_defined for o in steps) and any(not o.is_defined for o in steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6),
+       x0=st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -1.0, 0.05, 1.0]))
+def test_probe_matches_the_scalar_path_on_random_trees(seed, depth, x0):
+    f = random_expr(random.Random(seed), depth)
+    if lower(f).outcome(x0).is_defined:
+        p = probe(f, x0)
+        assert repr(p) == repr(_scalar_probe(f, x0))
 
 
 class TestClassify:

@@ -1,17 +1,24 @@
+import contextlib
+import io
 import json
+import math
+import random
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deriv_audit.cli import main
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Interval, ParseError, parse
+from deriv_audit.expr import Interval, ParseError, format_expr, lower, parse
 from deriv_audit.probe import Differentiable, VerticalTangent
 from deriv_audit.report import (
     analyze, audit_point, emit_plot_data, point_json_dict, render_text,
     to_json_dict,
 )
 from deriv_audit.tangents import Provenance
+from helpers import random_expr
 
 IV = Interval(-1, 1)
 
@@ -49,6 +56,12 @@ class TestAnalyze:
         assert all(t.provenance is Provenance.SYMBOLIC_EXPRESSION_ROOT for t in rep.tangents)
         # corrected derivative has no extra piece: the hole is not repaired
         assert len(rep.corrected_derivative) == 1
+
+    def test_equal_inputs_give_equal_reports(self):
+        for text in ["cbrt(x)*sin(x^2)", "x^3", "1/x+sqrt(x)"]:
+            first, second = analyze(text, IV), analyze(text, IV)
+            assert first == second
+            assert repr(first) == repr(second)
 
     def test_naive_subset_of_corrected(self):
         for text in ["cbrt(x)*sin(x^2)", "x^3", "cbrt(x)*cos(x^2)", "x^2-x^4"]:
@@ -129,7 +142,7 @@ class TestPointAudit:
 
 def _plot(text, n, path):
     f = parse(text)
-    emit_plot_data(f, differentiate(f).simplified, IV, n, path)
+    emit_plot_data(f, lower(differentiate(f).simplified), IV, n, path)
 
 
 class TestPlotData:
@@ -235,9 +248,14 @@ class TestCli:
 
     def test_plot_parses_and_differentiates_once(self, capsys, tmp_path, monkeypatch):
         calls = {"parse": 0, "differentiate": 0}
-        for name, original in (("parse", parse), ("differentiate", differentiate)):
+        lowered = []
+        for name, original in (("parse", parse), ("differentiate", differentiate),
+                               ("lower", lower)):
             def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
+                if _name == "lower":
+                    lowered.append(args[0])
+                else:
+                    calls[_name] += 1
                 return _original(*args)
             for key, module in list(sys.modules.items()):
                 if key.startswith("deriv_audit") and getattr(module, name, None) is original:
@@ -247,6 +265,26 @@ class TestCli:
         assert main(argv) == 0
         capsys.readouterr()
         assert calls == {"parse": 1, "differentiate": 1}
+        # f' is lowered once, for the grid; the plot reads that tape
+        fp = differentiate(parse("cbrt(x)*sin(x^2)")).simplified
+        assert sum(e == fp for e in lowered) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["diff", "(" * 300 + "x" + ")" * 300],
+        ["analyze", "--interval", "-1", "1", "--plot", "p.csv", "--", "(" * 300 + "x" + ")" * 300],
+        ["classify", "--at", "0", "--", "(" * 300 + "x" + ")" * 300],
+        ["diff", "--", "-" * 3000 + "x"],
+        ["analyze", "--interval", "-1", "1", "--", "-" * 3000 + "x"],
+        ["classify", "--at", "0", "--", "-" * 3000 + "x"],
+    ], ids=["diff-parens", "analyze-parens", "classify-parens", "diff-minus", "analyze-minus",
+            "classify-minus"])
+    def test_deep_nesting_exits_two_with_one_line(self, capsys, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "deriv-audit: expression nested too deeply\n"
+        assert not list(tmp_path.iterdir())  # nothing written
 
     def test_io_error_exit_three(self, capsys, tmp_path):
         missing = tmp_path / "no" / "dir" / "plot.csv"
@@ -266,3 +304,52 @@ class TestCli:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,f,fprime"
         assert len(lines) == 12
+
+
+# Property: whatever the arguments, main ends in a documented exit code.
+# argparse's own usage errors end in SystemExit(2), which counts as exit 2.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 5e-324]),
+)
+_EXPRESSIONS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: format_expr(random_expr(random.Random(seed), 4))),
+    st.text(alphabet="x()+-*/^.0123456789e sincotaqrlb", max_size=30),
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(["(", "-", "sqrt(", "x^"]), st.integers(1, 400)).map(
+        lambda t: t[0] * t[1] + "x" + ")" * (t[1] if t[0].endswith("(") else 0)),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["analyze", "classify", "diff"]))
+    options = []
+    if command == "analyze":
+        options += ["--interval", *(repr(draw(_NUMBERS)) for _ in range(2)),
+                    "--grid", str(draw(st.integers(-2, 40)))]
+        if draw(st.booleans()):
+            options += ["--plot", draw(st.sampled_from(["{tmp}/plot.csv", "{tmp}/no/plot.csv"])),
+                        "--plot-n", str(draw(st.integers(-1, 20)))]
+        if draw(st.booleans()):
+            options.append("--json")
+    elif command == "classify":
+        at = repr(draw(_NUMBERS))
+        options += draw(st.sampled_from([["--at", at], [f"--at={at}"]]))
+        if draw(st.booleans()):
+            options.append("--json")
+    text = draw(_EXPRESSIONS)
+    return [command, *options, "--", text]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argvs())
+def test_cli_exits_only_with_documented_codes(argv):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main([a.replace("{tmp}", tmp) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue()[-500:])
+        assert bool(code) == bool(err.getvalue())  # a failure says why, success is silent

@@ -99,6 +99,17 @@ NAMED = [
      Add(Neg(Neg(LN0)), Func("sqrt", Sub(X, LN0))), [0.0, -1.0]),
     ("signed zero constants stay apart",
      Mul(Mul(X, Constant(0.0)), Mul(X, Constant(-0.0))), [1.0, -1.0]),
+    # the column kernel's hazards: math.pow(-0.0, odd) is -0.0; math.pow(nan, 0),
+    # math.pow(1, nan) and math.pow(0, 0) are 1.0; truediv(nan, 0.0) raises;
+    # overflow to inf saturates; exp overflows
+    ("kernel: x^3 and x^5 at signed zeros", parse("x^3/x+x^5"), [-0.0, 0.0, 1.0]),
+    ("kernel: (1/x)^0", Pow(Div(Constant(1), X), Constant(0)), [0.0, 1.0]),
+    ("kernel: 1^(1/x)", Pow(Constant(1), Div(Constant(1), X)), [1.0, 0.0]),
+    ("kernel: (1/x)/x", parse("(1/x)/x"), [0.0, 2.0]),
+    ("kernel: cbrt(x) at -0.0", parse("cbrt(x)/x"), [-0.0, 1.0]),
+    ("kernel: exp(1000*x)", parse("exp(1000*x)*sqrt(x)"), [-1.0, 0.5, 1.0]),
+    ("kernel: 1e300*x*x+1/x", parse("1e300*x*x+1/x"), [0.0, 1.0, 1e10]),
+    ("kernel: no points", parse("x^3/x+sqrt(x)"), []),
 ]
 
 
