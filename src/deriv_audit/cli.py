@@ -100,7 +100,7 @@ def main(argv=None) -> int:
             iv = Interval(args.interval[0], args.interval[1])
             report = analyze(args.expression, iv, grid_n=args.grid)
             if args.plot:
-                emit_plot_data(report.f, report.fp_tape, iv, args.plot_n, path=args.plot)
+                emit_plot_data(report.f_tape, report.fp_tape, iv, args.plot_n, path=args.plot)
             if args.json:
                 print(json.dumps(to_json_dict(report), indent=2))
             else:

@@ -306,7 +306,7 @@ class Tape:
     constant holds its value in a), so one forward sweep evaluates the
     expression and the last slot is the root.  Equal subtrees share a slot,
     `nodes[i]` is slot i's subtree, and a value is a float or None where it
-    is undefined.
+    is undefined (NaN in a column).
     """
 
     __slots__ = ("code", "nodes", "root")
@@ -375,8 +375,9 @@ class Tape:
     def columns(self, xs: list[float], keep=()) -> list[list | None]:
         """Each slot's values at the finite points xs, in one sweep, a
         column at a time (see _column).  Only the root's column and those of
-        the slots in `keep` are returned, with None where undefined; every
-        other one is dropped (None) after its last reader, so few are alive."""
+        the slots in `keep` are returned, with NaN where undefined (no
+        defined value is NaN, so `v != v` tests it); every other one is
+        dropped (None) after its last reader, so few are alive."""
         keep = {*keep, self.root}
         last_read = {k: i for i in range(len(self.code)) for k in self.operands(i)}
         cols: list[list | None] = []
@@ -388,8 +389,7 @@ class Tape:
             for k in self.operands(i):
                 if last_read[k] == i and k not in keep:
                     cols[k] = None
-        return [col if col is None or math.isfinite(sum(col))
-                else [None if v != v else v for v in col] for col in cols]
+        return cols
 
     def domain_slots(self) -> list[int]:
         """Slots whose zeros or sign can make the expression undefined:

@@ -113,7 +113,7 @@ def probe(f: Expr, x0: float) -> QuotientProbe:
     steps = schedule + tuple(-h for h in schedule)  # the right side, then the left
     values = tape.columns([x0 + h for h in steps])[tape.root]
     quotients = tuple(
-        tape.outcome(x0 + h) if fh is None else EvalOutcome.of(_sat((fh - f0.value) / h))
+        tape.outcome(x0 + h) if fh != fh else EvalOutcome.of(_sat((fh - f0.value) / h))
         for h, fh in zip(steps, values)
     )
     return QuotientProbe(x0=x0, schedule=schedule, right=quotients[:STEPS],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .derivative import differentiate
 from .expr import (
-    EvalOutcome, Expr, Interval, Tape, format_expr, format_number, lower, parse,
+    EvalOutcome, Interval, Tape, format_expr, format_number, lower, parse,
 )
 from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, Verdict, VerticalTangent,
@@ -64,11 +64,11 @@ class AnalysisReport:
     methodology_trace: tuple[TraceRecord, ...]
     unconfirmed_roots: tuple[float, ...]
     interval_notes: tuple[IntervalNote, ...]
-    # the parsed input and the grid's tape of its simplified derivative
+    # the lowered input and the grid's tape of its simplified derivative
     # (`fp_tape.nodes[fp_tape.root]`), for emit_plot_data; neither is
-    # rendered, and the tape, which derivative_text spells out, is left out
-    # of == and repr
-    f: Expr
+    # rendered, and both, which input_text and derivative_text spell out,
+    # are left out of == and repr
+    f_tape: Tape = field(compare=False, repr=False)
     fp_tape: Tape = field(compare=False, repr=False)
 
 
@@ -77,9 +77,10 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
     fp = differentiate(f).simplified
     derivative_text = format_expr(fp)
 
+    f_tape = lower(f)
     grid = Grid(fp, iv, grid_n)  # the one grid pass both scans read
     root_scan = scan_roots(grid)
-    scanned = scan_detailed(f, grid)
+    scanned = scan_detailed(f_tape, grid)
     candidate_verdicts = tuple(
         (cand, classify(probe(f, cand.x0))) for cand in scanned.candidates
     )
@@ -99,7 +100,7 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
         methodology_trace=trace,
         unconfirmed_roots=root_scan.unconfirmed,
         interval_notes=scanned.interval_notes,
-        f=f,
+        f_tape=f_tape,
         fp_tape=grid.tape,
     )
 
@@ -189,17 +190,17 @@ def audit_point(input_text: str, x0: float) -> PointAudit:
 # plot data
 
 
-def emit_plot_data(f: Expr, fp_tape: Tape, iv: Interval, n: int, path) -> None:
-    """Write `x,f,fprime` CSV rows for f and its derivative expression, the
-    lowered `fp_tape`, at n+1 uniform points; cells are left empty where the
-    value is undefined."""
+def emit_plot_data(f_tape: Tape, fp_tape: Tape, iv: Interval, n: int, path) -> None:
+    """Write `x,f,fprime` CSV rows for f and its derivative expression,
+    lowered to `f_tape` and `fp_tape`, at n+1 uniform points; cells are left
+    empty where the value is undefined."""
     if n < 2:
         raise ValueError("n must be at least 2")
     xs = grid_points(iv, n)
     lines = ["x,f,fprime"]
-    for x, fv, fpv in zip(xs, lower(f).columns(xs)[-1], fp_tape.columns(xs)[-1]):
-        f_cell = "" if fv is None else format_number(fv)
-        fp_cell = "" if fpv is None else format_number(fpv)
+    for x, fv, fpv in zip(xs, f_tape.columns(xs)[-1], fp_tape.columns(xs)[-1]):
+        f_cell = "" if fv != fv else format_number(fv)
+        fp_cell = "" if fpv != fpv else format_number(fpv)
         lines.append(f"{format_number(x)},{f_cell},{fp_cell}")
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import Expr, Tape, UndefinedReason, lower
-from .tangents import DEDUP_TOL, Grid, clusters, column_roots
+from .tangents import DEDUP_TOL, Grid, clusters, column_events, column_roots
 
 __all__ = [
     "CandidatePoint", "IntervalNote", "DismissedPoint", "ScanResult",
@@ -85,10 +85,10 @@ def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
     return b
 
 
-def scan_detailed(f: Expr, grid: Grid) -> ScanResult:
-    """Holes of the grid's fp, the derivative expression of f, classified."""
+def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
+    """Holes of the grid's fp, the derivative expression of f (lowered to
+    `f_tape`), classified."""
     tape, iv, xs = grid.tape, grid.iv, grid.xs
-    undefined = [v is None for v in grid.columns[tape.root]]
 
     def holes_near(r: float) -> list[float]:
         return [s for s in _snap_values(r) if iv.lo <= s <= iv.hi and tape.value(s) is None]
@@ -97,25 +97,26 @@ def scan_detailed(f: Expr, grid: Grid) -> ScanResult:
     # defined/undefined flip between adjacent samples gives the edge of an
     # undefined run and its bisected boundary.  Interior points of an
     # undefined region are skipped; its boundary is what matters.
-    holes = [iv.lo] if len(xs) == 1 and undefined[0] else []
-    for i in range(len(xs) - 1):
-        if undefined[i] == undefined[i + 1]:
-            continue
-        defined_x, undefined_x = (xs[i], xs[i + 1]) if undefined[i + 1] else (xs[i + 1], xs[i])
+    col = grid.columns[tape.root]
+    holes = [iv.lo] if len(xs) == 1 and col[0] != col[0] else []
+    for i in grid.events.flips:
+        undefined_next = col[i + 1] != col[i + 1]
+        defined_x, undefined_x = (xs[i], xs[i + 1]) if undefined_next else (xs[i + 1], xs[i])
         boundary = _bisect_boundary(tape, defined_x, undefined_x)
         holes += [undefined_x, boundary, *holes_near(boundary)]
 
     # Exact zeros of denominators and of sqrt/ln arguments: holes the grid
     # can sail straight past without a definedness flip.
     for slot in tape.domain_slots():
-        roots, _ = column_roots(xs, grid.columns[slot], lower(tape.nodes[slot]).value)
-        for r in roots:
-            holes += holes_near(r)
+        slot_col = grid.columns[slot]
+        events = column_events(slot_col)
+        if events.zeros or events.changes:
+            for r in column_roots(xs, slot_col, events, lower(tape.nodes[slot]).value):
+                holes += holes_near(r)
 
     candidates: list[CandidatePoint] = []
     notes: list[IntervalNote] = []
     dismissed: list[DismissedPoint] = []
-    f_tape = lower(f)
 
     # One hole per cluster: the shortest decimal representative, a grid or
     # snapped hit over bisection residue.

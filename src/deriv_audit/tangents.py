@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from itertools import count
+from typing import NamedTuple
 
 from .expr import Expr, Interval, Tape, lower
 from .probe import Differentiable
 
 __all__ = [
-    "Provenance", "TangentPoint", "RootScan", "Grid",
-    "grid_points", "clusters", "column_roots", "scan_roots",
+    "Provenance", "TangentPoint", "RootScan", "Events", "Grid",
+    "grid_points", "column_events", "clusters", "column_roots", "scan_roots",
     "combine_tangent_points",
     "DEFAULT_GRID_N", "DEDUP_TOL",
 ]
@@ -63,12 +66,72 @@ def grid_points(iv: Interval, n: int) -> list[float]:
     return xs
 
 
+class Events(NamedTuple):
+    """What a scan can find in a column, as ascending indices i into it."""
+
+    flips: list[int]    # defined at one of i and i+1, NaN at the other
+    zeros: list[int]    # an exact zero at i
+    changes: list[int]  # strictly opposite signs at i and i+1
+    small: list[int]    # 0 < |value| < UNCONFIRMED_BAND at i
+
+
+def column_events(col: list[float]) -> Events:
+    """The events of a column with NaN where undefined.  C-level summaries
+    decide where to look: a finite sum means no NaN; otherwise one `v != v`
+    pass gives the NaN runs, whose edges are the flips.  A NaN-free stretch
+    with one strict sign holds no zero and no sign change, and, beyond the
+    band, no small value either: it is skipped.  Only the rest is walked."""
+    n = len(col)
+    runs = []  # [a, b): the NaN runs
+    if not math.isfinite(sum(col)):  # a NaN, or a sum that overflowed
+        nan = list(map(operator.ne, col, col))
+        b = 0
+        while True:
+            try:
+                a = nan.index(True, b)
+            except ValueError:
+                break
+            try:
+                b = nan.index(False, a)
+            except ValueError:
+                b = n
+            runs.append((a, b))
+    edges = [0, *(k for run in runs for k in run), n]
+    flips = [k - 1 for k in edges[1:-1] if 0 < k < n]
+    zeros: list[int] = []
+    changes: list[int] = []
+    small: list[int] = []
+    band, neg_band = UNCONFIRMED_BAND, -UNCONFIRMED_BAND
+    for s, e in zip(edges[::2], edges[1::2]):  # the NaN-free stretches
+        if s == e:
+            continue
+        seg = col[s:e]
+        lo = min(seg)
+        if lo >= band:
+            continue
+        hi = max(seg)
+        if hi <= neg_band:
+            continue
+        # The walk; `and` over plain comparisons runs faster than a chain.
+        near = [i for i, v in zip(count(s), seg) if v < band and v > neg_band]
+        if lo > 0.0 or hi < 0.0:  # one strict sign: no zero, no sign change
+            small += near
+            continue
+        zeros += [i for i in near if col[i] == 0.0]
+        small += [i for i in near if col[i] != 0.0]
+        if lo < 0.0 < hi:
+            changes += [i for i, u, v in zip(count(s), seg, seg[1:])
+                        if (u > 0.0 and v < 0.0) or (u < 0.0 and v > 0.0)]
+    return Events(flips, zeros, changes, small)
+
+
 class Grid:
     """fp lowered once and sampled in one pass at the points `xs`: grid_n
     steps over iv, or lo alone if iv is a point.  Every grid scan reads the
-    `columns` of fp (slot `tape.root`) and of its domain-sensitive nodes."""
+    `columns` of fp (slot `tape.root`) and of its domain-sensitive nodes,
+    and fp's column `events`, found once."""
 
-    __slots__ = ("tape", "iv", "xs", "columns")
+    __slots__ = ("tape", "iv", "xs", "columns", "events")
 
     def __init__(self, fp: Expr, iv: Interval, grid_n: int):
         if grid_n < 2:
@@ -76,6 +139,7 @@ class Grid:
         self.tape, self.iv = lower(fp), iv
         self.xs = [iv.lo] if iv.lo == iv.hi else grid_points(iv, grid_n)
         self.columns = self.tape.columns(self.xs, self.tape.domain_slots())
+        self.events = column_events(self.columns[self.tape.root])
 
 
 def clusters(items, x) -> list[list]:
@@ -116,22 +180,16 @@ def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
     return None
 
 
-def column_roots(xs: list[float], values: list, value_at) -> tuple[list[float], set[int]]:
-    """Zeros of an expression from its values at xs: exact grid zeros, plus
-    each sign change between adjacent defined samples bisected with
-    `value_at` (the value at one point).  Returns the sorted, deduplicated
-    roots and the indices i of the segments [xs[i], xs[i+1]] that change sign.
-    """
-    changes = [
-        i for i, (a, b) in enumerate(zip(values, values[1:]))
-        if a is not None and b is not None and (a > 0.0 > b or a < 0.0 < b)
-    ]
-    roots = [x for x, v in zip(xs, values) if v == 0.0]
-    for i in changes:
-        r = _bisect_root(value_at, xs[i], xs[i + 1], values[i])
+def column_roots(xs: list[float], col: list[float], events: Events, value_at) -> list[float]:
+    """Zeros of an expression from its column at xs and the column's
+    events: exact grid zeros, plus each sign change bisected with
+    `value_at` (the value at one point); sorted and deduplicated."""
+    roots = [xs[i] for i in events.zeros]
+    for i in events.changes:
+        r = _bisect_root(value_at, xs[i], xs[i + 1], col[i])
         if r is not None:
             roots.append(r)
-    return dedup_sorted(roots), set(changes)
+    return dedup_sorted(roots)
 
 
 def scan_roots(grid: Grid) -> RootScan:
@@ -140,16 +198,15 @@ def scan_roots(grid: Grid) -> RootScan:
     Grid points where |fp| is tiny without a neighboring sign change are
     reported as unconfirmed (a touching zero the sign scan cannot certify).
     """
-    xs, values = grid.xs, grid.columns[grid.tape.root]
+    xs, events = grid.xs, grid.events
+    roots = column_roots(xs, grid.columns[grid.tape.root], events, grid.tape.value)
     if len(xs) == 1:
-        return RootScan(roots=(xs[0],) if values[0] == 0.0 else (), unconfirmed=())
-
-    roots, changes = column_roots(xs, values, grid.tape.value)
+        return RootScan(roots=tuple(roots), unconfirmed=())
+    changes = set(events.changes)
     unconfirmed = [
-        x for i, (x, v) in enumerate(zip(xs, values))
-        if v is not None and v != 0.0 and abs(v) < UNCONFIRMED_BAND
-        and i - 1 not in changes and i not in changes
-        and not any(abs(x - r) <= DEDUP_TOL for r in roots)
+        xs[i] for i in events.small
+        if i - 1 not in changes and i not in changes
+        and not any(abs(xs[i] - r) <= DEDUP_TOL for r in roots)
     ]
     return RootScan(roots=tuple(roots), unconfirmed=tuple(dedup_sorted(unconfirmed)))
 

@@ -11,6 +11,7 @@ from deriv_audit.expr import (
     UndefinedReason, Variable, X, FUNCTION_NAMES, HUGE, _pow_value, _sat, cbrt,
     evaluate, lower,
 )
+from deriv_audit.tangents import UNCONFIRMED_BAND
 
 FUNCS = sorted(FUNCTION_NAMES)
 
@@ -264,3 +265,21 @@ def reference_evaluate(e: Expr, x: float) -> EvalOutcome:
         return EvalOutcome.of(value)
     violations.sort(key=lambda t: (t[0], t[1]))
     return EvalOutcome.undefined(violations[0][2])
+
+
+def reference_events(col: list[float]) -> tuple[list[int], ...]:
+    """The per-element rules the grid scans applied before column events,
+    kept as the oracle `tangents.column_events` is tested against.  NaN
+    marks an undefined value; each list holds ascending indices i:
+    definedness flips between i and i+1, exact zeros, sign changes between
+    adjacent defined values, and defined values with 0 < |v| < band."""
+    undefined = [v != v for v in col]
+    flips = [i for i in range(len(col) - 1) if undefined[i] != undefined[i + 1]]
+    zeros = [i for i, v in enumerate(col) if v == 0.0]
+    changes = [
+        i for i, (a, b) in enumerate(zip(col, col[1:]))
+        if a == a and b == b and (a > 0.0 > b or a < 0.0 < b)
+    ]
+    small = [i for i, v in enumerate(col)
+             if v == v and v != 0.0 and abs(v) < UNCONFIRMED_BAND]
+    return flips, zeros, changes, small

@@ -225,7 +225,7 @@ def test_criterion_9_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         f = parse(F_TEXT)
-        emit_plot_data(f, lower(differentiate(f).simplified), IV, 1000, path)
+        emit_plot_data(lower(f), lower(differentiate(f).simplified), IV, 1000, path)
     assert a.read_bytes() == b.read_bytes()
 
     cmd = [sys.executable, "-m", "deriv_audit.cli",

@@ -142,7 +142,7 @@ class TestPointAudit:
 
 def _plot(text, n, path):
     f = parse(text)
-    emit_plot_data(f, lower(differentiate(f).simplified), IV, n, path)
+    emit_plot_data(lower(f), lower(differentiate(f).simplified), IV, n, path)
 
 
 class TestPlotData:
@@ -247,6 +247,7 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["x"] == -1e-3
 
     def test_plot_parses_and_differentiates_once(self, capsys, tmp_path, monkeypatch):
+        candidates = len(analyze("cbrt(x)*sin(x^2)", IV).candidates)
         calls = {"parse": 0, "differentiate": 0}
         lowered = []
         for name, original in (("parse", parse), ("differentiate", differentiate),
@@ -268,6 +269,10 @@ class TestCli:
         # f' is lowered once, for the grid; the plot reads that tape
         fp = differentiate(parse("cbrt(x)*sin(x^2)")).simplified
         assert sum(e == fp for e in lowered) == 1
+        # f is lowered once by analyze, for the scan and the plot, and once
+        # by each candidate's probe
+        assert candidates == 1
+        assert sum(e == parse("cbrt(x)*sin(x^2)") for e in lowered) == 1 + candidates
 
     @pytest.mark.parametrize("argv", [
         ["diff", "(" * 300 + "x" + ")" * 300],

@@ -13,7 +13,7 @@ def _fp(text):
 
 
 def scan(f, fp, iv, grid_n):
-    return list(scan_detailed(f, Grid(fp, iv, grid_n)).candidates)
+    return list(scan_detailed(lower(f), Grid(fp, iv, grid_n)).candidates)
 
 
 class TestScan:
@@ -51,7 +51,7 @@ class TestScan:
     def test_dismissed_when_function_also_undefined(self):
         f = parse("1/x")
         fp = _fp("1/x")
-        result = scan_detailed(f, Grid(fp, IV, 1000))
+        result = scan_detailed(lower(f), Grid(fp, IV, 1000))
         assert result.candidates == ()
         assert len(result.dismissed) == 1
         d = result.dismissed[0]
@@ -61,7 +61,7 @@ class TestScan:
     def test_interval_undefinedness_is_a_note_not_a_candidate(self):
         f = parse("sqrt(x)")
         fp = _fp("sqrt(x)")  # 1/(2*sqrt(x)): undefined for x <= 0
-        result = scan_detailed(f, Grid(fp, IV, 1000))
+        result = scan_detailed(lower(f), Grid(fp, IV, 1000))
         assert result.candidates == ()
         assert len(result.interval_notes) == 1
         note = result.interval_notes[0]

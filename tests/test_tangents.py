@@ -1,12 +1,17 @@
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Interval, evaluate, parse
+from deriv_audit.expr import HUGE, Interval, evaluate, parse
 from deriv_audit.probe import classify, probe
 from deriv_audit.report import analyze
-from deriv_audit.tangents import Grid, Provenance, scan_roots
+from deriv_audit.tangents import (
+    UNCONFIRMED_BAND, Grid, Provenance, column_events, scan_roots,
+)
+from helpers import random_expr, reference_events
 
 IV = Interval(-1, 1)
 
@@ -112,3 +117,46 @@ class TestHorizontalTangents:
             xs = [p.x for p in analyze(text, IV).tangents]
             mirrored = sorted(-x for x in xs)
             assert xs == pytest.approx(mirrored, abs=1e-9)
+
+
+BAND = UNCONFIRMED_BAND
+INSIDE = math.nextafter(BAND, 0.0)  # the largest magnitude that is small
+NAN = math.nan
+MIN_NORMAL = 2.2250738585072014e-308
+SPECIAL = [NAN, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, MIN_NORMAL, -MIN_NORMAL,
+           BAND, -BAND, INSIDE, -INSIDE, HUGE, -HUGE, 1.0, -1.0]
+VALUES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-2 * BAND, 2 * BAND))
+# Runs of repeated values, so NaN runs and single-signed stretches of any
+# length sit anywhere, the ends included.
+COLUMNS = st.lists(st.tuples(VALUES, st.integers(1, 5)), max_size=30).map(
+    lambda runs: [v for v, k in runs for _ in range(k)])
+
+
+class TestColumnEvents:
+    @settings(max_examples=600, deadline=None)
+    @given(col=COLUMNS)
+    @example(col=[])
+    @example(col=[NAN])
+    @example(col=[NAN, NAN, NAN])
+    @example(col=[0.0])
+    @example(col=[-0.0, NAN])
+    @example(col=[NAN, INSIDE])
+    @example(col=[BAND, -BAND])
+    @example(col=[INSIDE, -INSIDE])
+    @example(col=[1.0, -1.0, NAN, 0.0, 2.0])
+    @example(col=[NAN, 1.0, 0.0, NAN, -5e-324, 5e-324, NAN])
+    @example(col=[HUGE, HUGE, 3e-11, -1.0])  # the sum overflows to inf
+    @example(col=[-HUGE, -HUGE, 0.0, 2.0, -1e-310])  # ... and to -inf
+    @example(col=[HUGE, HUGE, -HUGE, -HUGE, NAN, INSIDE])
+    def test_matches_the_per_element_rules(self, col):
+        assert tuple(column_events(col)) == reference_events(col)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
+    def test_matches_the_per_element_rules_on_grid_columns(self, seed, depth):
+        fp = differentiate(random_expr(random.Random(seed), depth)).simplified
+        grid = Grid(fp, Interval(-2, 2), 64)
+        assert tuple(grid.events) == reference_events(grid.columns[grid.tape.root])
+        for slot in grid.tape.domain_slots():
+            assert tuple(column_events(grid.columns[slot])) == reference_events(grid.columns[slot])
