@@ -16,6 +16,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -41,7 +42,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` does not change it, so
+    `main` builds it on its first call only."""
     parser = _ArgumentParser(
         prog="deriv-audit",
         description="Differentiate an expression and audit the points where "

@@ -81,17 +81,38 @@ def _d(e: Expr) -> Expr:
 # --------------------------------------------------------------------------
 # simplification
 
-_MAX_PASSES = 64
-
-
 def simplify(e: Expr) -> Expr:
-    """Apply the domain-preserving rewrite passes to a fixpoint."""
-    for _ in range(_MAX_PASSES):
-        reduced = _simplify_once(e)
-        if reduced == e:
-            return reduced
-        e = reduced
-    return e
+    """Apply the domain-preserving rewrites until none applies, in one
+    bottom-up pass without recursion, so depth is unbounded.  Each distinct
+    node is rebuilt from its simplified operands, then settled (`_settle`);
+    a shared subtree is simplified once."""
+    done: dict[int, Expr] = {}  # by id: e holds every node, so ids stay unique
+    get = done.get
+    for node, kids in _post_order(e):
+        key = id(node)
+        a, b = kids[0], kids[-1]  # b is a for a unary node
+        a2, b2 = get(id(a), a), get(id(b), b)  # a leaf stands for itself
+        if a2 is not a or b2 is not b:
+            kids = (a2, b2)[:len(kids)]
+            node = Func(node.name, a2) if isinstance(node, Func) else type(node)(*kids)
+        done[key] = _settle(node, kids)
+    return get(id(e), e)
+
+
+def _post_order(e: Expr) -> list[tuple[Expr, tuple[Expr, ...]]]:
+    """(node, operands) for each distinct inner node of e, operands first."""
+    order = []
+    seen = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the entry below has all its operands in order
+            order.append(stack.pop())
+        elif id(node) not in seen and not isinstance(node, (Constant, Variable)):
+            seen.add(id(node))
+            kids = children(node)
+            stack += ((node, kids), None, *kids)
+    return order
 
 
 def is_everywhere_defined(e: Expr) -> bool:
@@ -114,13 +135,13 @@ def _positive_int_exponent(e: Expr) -> float | None:
     return None
 
 
-def _fold_constant(e: Expr, kids: list[Expr]) -> Expr | None:
+def _fold_constant(e: Expr, kids: tuple[Expr, ...]) -> Expr | None:
     """Fold e's operation on its simplified operands `kids` when they are
     all constants and the operation is defined there."""
-    values = [k.value for k in kids if isinstance(k, Constant)]
-    if len(values) < len(kids):
-        return None
-    v = OPS[op_of(e)].value(*values)
+    for k in kids:
+        if not isinstance(k, Constant):
+            return None
+    v = OPS[op_of(e)].value(*[k.value for k in kids])  # type: ignore[attr-defined]
     return None if v is None else Constant(v)
 
 
@@ -170,16 +191,17 @@ def _rewrite(e: Expr) -> Expr:
     return e
 
 
-def _simplify_once(e: Expr) -> Expr:
-    if isinstance(e, (Constant, Variable)):
-        return e
-    if isinstance(e, (Neg, Func)):
-        kids = [_simplify_once(e.arg)]
-    elif isinstance(e, Pow):
-        kids = [_simplify_once(e.base), _simplify_once(e.exponent)]
-    else:
-        kids = [_simplify_once(e.left), _simplify_once(e.right)]  # type: ignore[union-attr]
-    folded = _fold_constant(e, kids)
-    if folded is not None:
-        return folded
-    return _rewrite(Func(e.name, *kids) if isinstance(e, Func) else type(e)(*kids))
+def _settle(e: Expr, kids: tuple[Expr, ...]) -> Expr:
+    """Fold or rewrite e, whose operands `kids` are simplified, until no
+    rule applies.  A rewrite keeps only simplified subtrees, or wraps them
+    in one new node, so only the top needs another look."""
+    while kids:
+        folded = _fold_constant(e, kids)
+        if folded is not None:
+            return folded
+        rewritten = _rewrite(e)
+        if rewritten is e:
+            return e
+        e = rewritten
+        kids = children(e)
+    return e

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import EvalOutcome, Expr, _sat, lower
+from .expr import EvalOutcome, Expr, Tape, _sat, lower
 
 __all__ = [
     "QuotientProbe", "Verdict", "Differentiable", "VerticalTangent", "Cusp",
@@ -96,8 +96,8 @@ class Inconclusive(Verdict):
     kind = "inconclusive"
 
 
-def probe(f: Expr, x0: float) -> QuotientProbe:
-    """Sample both one-sided quotient sequences of f at x0.
+def probe(f: Expr | Tape, x0: float) -> QuotientProbe:
+    """Sample both one-sided quotient sequences of f, or of f's tape, at x0.
 
     Requires f to be defined at the finite x0 (the scanner guarantees
     this); steps where f(x0±h) is undefined are recorded as such, with
@@ -105,7 +105,7 @@ def probe(f: Expr, x0: float) -> QuotientProbe:
     """
     if not math.isfinite(x0):
         raise ValueError(f"probe requires a finite x0, got {x0!r}")
-    tape = lower(f)
+    tape = f if isinstance(f, Tape) else lower(f)
     f0 = tape.outcome(x0)
     if not f0.is_defined:
         raise ValueError(f"probe requires the function to be defined at x0={x0!r}")

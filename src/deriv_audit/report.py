@@ -82,7 +82,7 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
     root_scan = scan_roots(grid)
     scanned = scan_detailed(f_tape, grid)
     candidate_verdicts = tuple(
-        (cand, classify(probe(f, cand.x0))) for cand in scanned.candidates
+        (cand, classify(probe(f_tape, cand.x0))) for cand in scanned.candidates
     )
     tangents = tuple(combine_tangent_points(grid.tape, root_scan.roots, candidate_verdicts))
 
@@ -168,13 +168,14 @@ class PointAudit:
 def audit_point(input_text: str, x0: float) -> PointAudit:
     f = parse(input_text)
     fp = differentiate(f).simplified
-    f_out = lower(f).outcome(x0)
+    f_tape = lower(f)
+    f_out = f_tape.outcome(x0)
     fp_tape = lower(fp)
     fp_out = fp_tape.outcome(x0)
     culprit = None
     if not fp_out.is_defined:
         culprit = format_expr(fp_tape.culprit(x0)[0])
-    verdict = classify(probe(f, x0)) if f_out.is_defined else None
+    verdict = classify(probe(f_tape, x0)) if f_out.is_defined else None
     return PointAudit(
         input_text=input_text,
         x0=x0,

@@ -11,6 +11,7 @@ from deriv_audit.expr import (
     UndefinedReason, Variable, X, FUNCTION_NAMES, HUGE, _pow_value, _sat, cbrt,
     evaluate, lower,
 )
+from deriv_audit.derivative import _fold_constant, _rewrite
 from deriv_audit.tangents import UNCONFIRMED_BAND
 
 FUNCS = sorted(FUNCTION_NAMES)
@@ -283,3 +284,35 @@ def reference_events(col: list[float]) -> tuple[list[int], ...]:
     small = [i for i, v in enumerate(col)
              if v == v and v != 0.0 and abs(v) < UNCONFIRMED_BAND]
     return flips, zeros, changes, small
+
+
+_MAX_PASSES = 64
+
+
+def reference_simplify(e: Expr) -> Expr:
+    """The fixpoint simplify that the one-pass `derivative.simplify`
+    replaced, kept as the oracle it is tested against.  Each pass rebuilds
+    the whole tree recursively, and a tree-wide == ends the loop.
+
+    Apply the domain-preserving rewrite passes to a fixpoint."""
+    for _ in range(_MAX_PASSES):
+        reduced = _simplify_once(e)
+        if reduced == e:
+            return reduced
+        e = reduced
+    return e
+
+
+def _simplify_once(e: Expr) -> Expr:
+    if isinstance(e, (Constant, Variable)):
+        return e
+    if isinstance(e, (Neg, Func)):
+        kids = [_simplify_once(e.arg)]
+    elif isinstance(e, Pow):
+        kids = [_simplify_once(e.base), _simplify_once(e.exponent)]
+    else:
+        kids = [_simplify_once(e.left), _simplify_once(e.right)]  # type: ignore[union-attr]
+    folded = _fold_constant(e, kids)
+    if folded is not None:
+        return folded
+    return _rewrite(Func(e.name, *kids) if isinstance(e, Func) else type(e)(*kids))

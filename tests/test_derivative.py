@@ -3,13 +3,16 @@ import struct
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate, is_everywhere_defined, simplify
 from deriv_audit.expr import (
     HUGE, OPS, Add, Constant, Div, Func, Mul, Neg, Pow, Sub, X, evaluate, format_expr,
     lower, op_of, parse,
 )
-from helpers import central_diff, eval_defined, fd_regular_point, random_expr
+from helpers import (
+    central_diff, eval_defined, fd_regular_point, random_expr, reference_simplify,
+)
 
 
 def rel_close(a, b, rel):
@@ -129,6 +132,23 @@ class TestSimplify:
             total, partial = Neg(total), Neg(partial)
         assert is_everywhere_defined(total)
         assert not is_everywhere_defined(partial)
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
+    def test_matches_the_fixpoint_oracle(self, seed, depth):
+        e = random_expr(random.Random(seed), depth)
+        for tree in (e, differentiate(e).raw):
+            s, r = simplify(tree), reference_simplify(tree)
+            assert s == r
+            assert format_expr(s) == format_expr(r)
+
+    def test_deep_chain(self):
+        chain = X
+        for _ in range(5000):
+            chain = Neg(chain)
+        assert simplify(chain) is X  # the double negations cancel
+        with pytest.raises(RecursionError):
+            reference_simplify(chain)
 
     def test_idempotent(self):
         rng = random.Random(3104)

@@ -110,9 +110,11 @@ class TestProbe:
        x0=st.sampled_from([0.0, 1e-9, -1e-9, 0.5, -1.0, 0.05, 1.0]))
 def test_probe_matches_the_scalar_path_on_random_trees(seed, depth, x0):
     f = random_expr(random.Random(seed), depth)
-    if lower(f).outcome(x0).is_defined:
+    tape = lower(f)
+    if tape.outcome(x0).is_defined:
         p = probe(f, x0)
         assert repr(p) == repr(_scalar_probe(f, x0))
+        assert repr(probe(tape, x0)) == repr(p)  # f's tape gives the same probe
 
 
 class TestClassify:

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deriv_audit.cli import main
+from deriv_audit.cli import _build_parser, main
 from deriv_audit.derivative import differentiate
 from deriv_audit.expr import Interval, ParseError, format_expr, lower, parse
 from deriv_audit.probe import Differentiable, VerticalTangent
@@ -246,8 +246,10 @@ class TestCli:
         assert main(["classify", "x", "--at", "-1e-3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["x"] == -1e-3
 
-    def test_plot_parses_and_differentiates_once(self, capsys, tmp_path, monkeypatch):
-        candidates = len(analyze("cbrt(x)*sin(x^2)", IV).candidates)
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Count parse and differentiate calls, and record lower's argument,
+        wherever the package refers to them."""
         calls = {"parse": 0, "differentiate": 0}
         lowered = []
         for name, original in (("parse", parse), ("differentiate", differentiate),
@@ -261,6 +263,11 @@ class TestCli:
             for key, module in list(sys.modules.items()):
                 if key.startswith("deriv_audit") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
+        return calls, lowered
+
+    def test_plot_parses_and_differentiates_once(self, capsys, tmp_path, monkeypatch):
+        candidates = len(analyze("cbrt(x)*sin(x^2)", IV).candidates)
+        calls, lowered = self._count_calls(monkeypatch)
         argv = ["analyze", "cbrt(x)*sin(x^2)", "--interval", "-1", "1",
                 "--plot", str(tmp_path / "plot.csv")]
         assert main(argv) == 0
@@ -269,10 +276,22 @@ class TestCli:
         # f' is lowered once, for the grid; the plot reads that tape
         fp = differentiate(parse("cbrt(x)*sin(x^2)")).simplified
         assert sum(e == fp for e in lowered) == 1
-        # f is lowered once by analyze, for the scan and the plot, and once
-        # by each candidate's probe
+        # f is lowered once by analyze, for the scan, each candidate's probe
+        # and the plot
         assert candidates == 1
-        assert sum(e == parse("cbrt(x)*sin(x^2)") for e in lowered) == 1 + candidates
+        assert sum(e == parse("cbrt(x)*sin(x^2)") for e in lowered) == 1
+
+    def test_classify_lowers_f_once(self, capsys, monkeypatch):
+        calls, lowered = self._count_calls(monkeypatch)
+        assert main(["classify", "cbrt(x)*sin(x^2)", "--at", "0"]) == 0
+        assert "step 3" in capsys.readouterr().out  # f is defined there, so it is probed
+        assert calls == {"parse": 1, "differentiate": 1}
+        f = parse("cbrt(x)*sin(x^2)")
+        fp = differentiate(f).simplified
+        # f once, for step 1 and the probe; f' once, for step 2 and its culprit
+        assert sum(e == f for e in lowered) == 1
+        assert sum(e == fp for e in lowered) == 1
+        assert len(lowered) == 2
 
     @pytest.mark.parametrize("argv", [
         ["diff", "(" * 300 + "x" + ")" * 300],
@@ -309,6 +328,38 @@ class TestCli:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "x,f,fprime"
         assert len(lines) == 12
+
+
+def _run_cli(argv):
+    """main's stdout, stderr and exit code; argparse's SystemExit counts."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+# In this order: a usage error, --help, an option check, then valid calls.
+_PARSER_STATE_ARGVS = [
+    (["analyze", "x", "--interval", "-1"], 2),
+    (["--help"], 0),
+    (["analyze", "x", "--interval", "-1", "1", "--grid", "1"], 2),
+    (["analyze", "cbrt(x)*sin(x^2)", "--interval", "-1", "1", "--json"], 0),
+    (["classify", "cbrt(x)*cos(x^2)", "--at", "0"], 0),
+    (["diff", "x^2*sin(x)"], 0),
+]
+
+
+def test_cached_parser_is_stateless():
+    parser = _build_parser()
+    cached = [_run_cli(argv) for argv, _ in _PARSER_STATE_ARGVS]
+    assert _build_parser() is parser  # every call above reused it
+    for (argv, code), got in zip(_PARSER_STATE_ARGVS, cached):
+        _build_parser.cache_clear()
+        assert got == _run_cli(argv), argv
+        assert got[2] == code, argv
 
 
 # Property: whatever the arguments, main ends in a documented exit code.
