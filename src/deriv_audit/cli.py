@@ -3,13 +3,9 @@
 Exit codes:
   0  success
   2  bad input, with a one-line message on stderr: an expression that does
-     not parse (the message gives the offset), an expression nested too
-     deeply for the recursive parser, formatter or differentiator (at the
-     default recursion limit: about 200 nested parentheses or calls, 110
-     chained `^`, or 1,000 chained unary minuses), or an option
-     value out of range (--interval needs finite LO <= HI, --grid and
-     --plot-n at least 2, --at a finite number); argparse's own usage
-     errors also exit 2
+     not parse (the message gives the offset), or an option value out of
+     range (--interval needs finite LO <= HI, --grid and --plot-n at least
+     2, --at a finite number); argparse's own usage errors also exit 2
   3  the --plot file cannot be written
 """
 
@@ -120,9 +116,6 @@ def main(argv=None) -> int:
             print(format_expr(differentiate(parse(args.expression)).simplified))
     except ParseError as exc:
         print(f"deriv-audit: parse error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("deriv-audit: expression nested too deeply", file=sys.stderr)
         return 2
     except OSError as exc:
         target = exc.filename or "output"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .expr import (
     OPS, Add, Constant, Div, Expr, Func, Mul, Neg, Pow, Sub, Variable,
-    _is_exact_integer, children, op_of,
+    _is_exact_integer, children, op_of, post_order,
 )
 
 __all__ = ["DerivativeResult", "differentiate", "simplify"]
@@ -28,35 +28,43 @@ class DerivativeResult:
 
 
 def differentiate(e: Expr) -> DerivativeResult:
-    raw = _d(e)
+    """The rule output for e, and its simplification.  One loop over
+    post_order(e) gives each distinct node its derivative from its
+    operands' (`_d`), so depth is unbounded and a shared subtree is
+    differentiated once."""
+    d: dict[int, Expr] = {}  # by id: e holds every node, so ids stay unique
+    for node, kids in post_order(e):
+        d[id(node)] = _d(node, *[d[id(k)] for k in kids])
+    raw = d[id(e)]
     return DerivativeResult(raw=raw, simplified=simplify(raw))
 
 
-def _d(e: Expr) -> Expr:
+def _d(e: Expr, da: Expr | None = None, db: Expr | None = None) -> Expr:
+    """The derivative of e by its rule, given the derivatives da and db of
+    its operands, in children(e) order."""
     if isinstance(e, Constant):
         return Constant(0)
     if isinstance(e, Variable):
         return Constant(1)
     if isinstance(e, Neg):
-        return Neg(_d(e.arg))
+        return Neg(da)
     if isinstance(e, Add):
-        return Add(_d(e.left), _d(e.right))
+        return Add(da, db)
     if isinstance(e, Sub):
-        return Sub(_d(e.left), _d(e.right))
+        return Sub(da, db)
     if isinstance(e, Mul):
-        return Add(Mul(_d(e.left), e.right), Mul(e.left, _d(e.right)))
+        return Add(Mul(da, e.right), Mul(e.left, db))
     if isinstance(e, Div):
-        num = Sub(Mul(_d(e.left), e.right), Mul(e.left, _d(e.right)))
+        num = Sub(Mul(da, e.right), Mul(e.left, db))
         return Div(num, Pow(e.right, Constant(2)))
     if isinstance(e, Pow):
         u, v = e.base, e.exponent
         if isinstance(v, Constant):
-            return Mul(Mul(v, Pow(u, Constant(v.value - 1.0))), _d(u))
+            return Mul(Mul(v, Pow(u, Constant(v.value - 1.0))), da)
         # general exponent: u^v * (v' ln u + v u'/u)
-        return Mul(e, Add(Mul(_d(v), Func("ln", u)), Mul(v, Div(_d(u), u))))
+        return Mul(e, Add(Mul(db, Func("ln", u)), Mul(v, Div(da, u))))
     assert isinstance(e, Func)
-    u = e.arg
-    du = _d(u)
+    u, du = e.arg, da
     if e.name == "sin":
         return Mul(Func("cos", u), du)
     if e.name == "cos":
@@ -82,37 +90,22 @@ def _d(e: Expr) -> Expr:
 # simplification
 
 def simplify(e: Expr) -> Expr:
-    """Apply the domain-preserving rewrites until none applies, in one
-    bottom-up pass without recursion, so depth is unbounded.  Each distinct
-    node is rebuilt from its simplified operands, then settled (`_settle`);
-    a shared subtree is simplified once."""
+    """Apply the domain-preserving rewrites until none applies, in one loop
+    over post_order(e), so depth is unbounded.  Each distinct node is
+    rebuilt from its simplified operands, then settled (`_settle`); a shared
+    subtree is simplified once."""
     done: dict[int, Expr] = {}  # by id: e holds every node, so ids stay unique
-    get = done.get
-    for node, kids in _post_order(e):
+    for node, kids in post_order(e):
         key = id(node)
-        a, b = kids[0], kids[-1]  # b is a for a unary node
-        a2, b2 = get(id(a), a), get(id(b), b)  # a leaf stands for itself
-        if a2 is not a or b2 is not b:
-            kids = (a2, b2)[:len(kids)]
-            node = Func(node.name, a2) if isinstance(node, Func) else type(node)(*kids)
-        done[key] = _settle(node, kids)
-    return get(id(e), e)
-
-
-def _post_order(e: Expr) -> list[tuple[Expr, tuple[Expr, ...]]]:
-    """(node, operands) for each distinct inner node of e, operands first."""
-    order = []
-    seen = set()
-    stack: list = [e]
-    while stack:
-        node = stack.pop()
-        if node is None:  # the entry below has all its operands in order
-            order.append(stack.pop())
-        elif id(node) not in seen and not isinstance(node, (Constant, Variable)):
-            seen.add(id(node))
-            kids = children(node)
-            stack += ((node, kids), None, *kids)
-    return order
+        if kids:
+            a, b = kids[0], kids[-1]  # b is a for a unary node
+            a2, b2 = done[id(a)], done[id(b)]
+            if a2 is not a or b2 is not b:
+                kids = (a2, b2)[:len(kids)]
+                node = Func(node.name, a2) if isinstance(node, Func) else type(node)(*kids)
+            node = _settle(node, kids)
+        done[key] = node
+    return done[id(e)]
 
 
 def is_everywhere_defined(e: Expr) -> bool:

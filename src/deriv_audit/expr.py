@@ -15,6 +15,7 @@ import enum
 import math
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple
@@ -24,7 +25,7 @@ __all__ = [
     "Func", "FUNCTION_NAMES", "X",
     "UndefinedReason", "EvalOutcome", "Interval", "ParseError",
     "parse", "format_expr", "evaluate", "format_number", "Tape", "lower",
-    "Op", "OPS", "op_of",
+    "Op", "OPS", "op_of", "post_order",
 ]
 
 FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "cbrt", "abs"})
@@ -36,15 +37,36 @@ NAN = math.nan
 
 
 class Expr:
-    """Base class for immutable expression tree nodes."""
+    """Base class for immutable expression tree nodes.  Equality and the
+    hash are structural, and both walk the tree without recursion."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_expr(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Expr):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if op_of(a) != op_of(b) or isinstance(a, Constant) and a.value != b.value:
+                return False
+            pairs += zip(children(a), children(b))
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self) -> int:
+        h: dict[int, int] = {}  # by id: self holds every node, so ids stay unique
+        for node, kids in post_order(self):
+            leaf = node.value if isinstance(node, Constant) else None
+            h[id(node)] = hash((op_of(node), leaf, *[h[id(k)] for k in kids]))
+        return h[id(self)]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Constant(Expr):
     value: float
 
@@ -55,47 +77,47 @@ class Constant(Expr):
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Variable(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Func(Expr):
     name: str
     arg: Expr
@@ -110,13 +132,36 @@ X = Variable()
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Constant, Variable)):
+    t = type(e)
+    if t is Constant or t is Variable:
         return ()
-    if isinstance(e, (Neg, Func)):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base, e.exponent)
-    return (e.left, e.right)  # type: ignore[union-attr]
+    if t is Neg or t is Func:
+        return (e.arg,)  # type: ignore[attr-defined]
+    if t is Pow:
+        return (e.base, e.exponent)  # type: ignore[attr-defined]
+    return (e.left, e.right)  # type: ignore[attr-defined]
+
+
+def post_order(e: Expr) -> list[tuple[Expr, tuple[Expr, ...]]]:
+    """(node, operands) for each distinct node of e, leaves included, each
+    after its operands, left to right: the one walk over a tree, for
+    lowering, differentiating, simplifying, formatting and hashing, on an
+    explicit stack, so depth is unbounded."""
+    order = []
+    seen = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the entry below has all its operands in order
+            order.append(stack.pop())
+        elif (i := id(node)) not in seen:
+            seen.add(i)
+            kids = children(node)
+            if kids:
+                stack += ((node, kids), None, *reversed(kids))
+            else:
+                order.append((node, kids))
+    return order
 
 
 class UndefinedReason(enum.Enum):
@@ -399,22 +444,12 @@ class Tape:
 
 
 def lower(e: Expr) -> Tape:
-    """Lower e to a Tape with an explicit stack, so depth is unbounded."""
+    """Lower e to a Tape over post_order(e); equal subtrees share a slot."""
     code: list[tuple] = []
     nodes: list[Expr] = []
     slot_of_id: dict[int, int] = {}  # e holds every node, so ids stay unique
     slot_of_key: dict[tuple, int] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        kids = children(node)
-        pending = [k for k in kids if id(k) not in slot_of_id]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        if id(node) in slot_of_id:
-            continue
+    for node, kids in post_order(e):
         op = op_of(node)
         if op == "c":
             entry = ("c", None, node.value, None)
@@ -483,8 +518,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent over:
+#: Each binary operator's node class and binding level, and the least levels
+#: its left and right operands need without parentheses.  Levels: 1 add/sub,
+#: 2 mul/div, 3 unary minus, 4 power, 5 atoms; so ^ is right-associative and
+#: its exponent may be a unary minus.
+_BINARY = {"+": (Add, 1, 1, 2), "-": (Sub, 1, 1, 2), "*": (Mul, 2, 2, 3),
+           "/": (Div, 2, 2, 3), "^": (Pow, 4, 5, 3)}
+_LEVEL_UNARY, _LEVEL_ATOM = 3, 5
+#: The least levels of each operator's operands; a call's argument has none.
+_LEAST = {"neg": (_LEVEL_UNARY,), **{op: row[2:] for op, row in _BINARY.items()}}
+
+
+def parse(text: str) -> Expr:
+    """Precedence climbing on an explicit operand and operator stack, so
+    depth is unbounded.  The grammar:
 
     expr  := term (("+"|"-") term)*
     term  := unary (("*"|"/") unary)*
@@ -492,112 +539,70 @@ class _Parser:
     power := atom ("^" unary)?
     atom  := number | variable | funcname "(" expr ")" | "(" expr ")"
     """
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.variable_name: str | None = None
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        self.advance()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"expected end of input, found {tok.text!r}", tok.pos)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
-        return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
-        return e
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            return Pow(base, self.unary())  # right-associative via unary
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if not math.isfinite(float(tok.text)):
-                raise ParseError(f"number {tok.text!r} is too large", tok.pos)
-            return Constant(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            follows_paren = self.peek().kind == "op" and self.peek().text == "("
-            if follows_paren:
+    tokens = _tokenize(text)
+    operands: list[Expr] = []
+    # (level, Neg or a binary node class), or (0, the token opening a group);
+    # the whole text is the group opened by None
+    pending: list[tuple[int, object]] = [(0, None)]
+    variable = None
+    i = 0
+    while True:
+        # an operand: unary minuses and group openings, then an atom
+        tok = tokens[i]
+        i += 1
+        if tok.text == "-":
+            pending.append((_LEVEL_UNARY, Neg))
+            continue
+        if tok.text == "(" or tok.kind == "ident" and tokens[i].text == "(":
+            if tok.kind == "ident":
                 if tok.text not in FUNCTION_NAMES:
                     raise ParseError(f"unknown function name {tok.text!r}", tok.pos)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Func(tok.text, arg)
+                i += 1
+            pending.append((0, tok))
+            continue
+        if tok.kind == "number":
+            if not math.isfinite(float(tok.text)):
+                raise ParseError(f"number {tok.text!r} is too large", tok.pos)
+            operands.append(Constant(float(tok.text)))
+        elif tok.kind == "ident":
             if tok.text in FUNCTION_NAMES:
-                raise ParseError(f"expected '(' after function name {tok.text!r}", self.peek().pos)
-            if self.variable_name is None:
-                self.variable_name = tok.text
-            elif tok.text != self.variable_name:
+                raise ParseError(f"expected '(' after function name {tok.text!r}", tokens[i].pos)
+            if variable is None:
+                variable = tok.text
+            elif tok.text != variable:
                 raise ParseError(
-                    f"multiple distinct variable names: {self.variable_name!r} and {tok.text!r}",
-                    tok.pos,
-                )
-            return X
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        raise ParseError(
-            f"expected a number, variable, function call or '(', found {tok.text or 'end of input'!r}",
-            tok.pos,
-        )
-
-
-def parse(text: str) -> Expr:
-    return _Parser(text).parse()
+                    f"multiple distinct variable names: {variable!r} and {tok.text!r}", tok.pos)
+            operands.append(X)
+        else:
+            raise ParseError(
+                f"expected a number, variable, function call or '(', found {tok.text or 'end of input'!r}",
+                tok.pos,
+            )
+        # group closings, up to a binary operator or the end
+        while True:
+            tok = tokens[i]
+            i += 1
+            cls, level, least, _ = _BINARY.get(tok.text, (None, 0, 1, 0))
+            while pending[-1][0] >= least:  # complete what binds tighter
+                _, op = pending.pop()
+                b = operands.pop()
+                operands.append(Neg(b) if op is Neg else op(operands.pop(), b))
+            if cls is not None:
+                pending.append((level, cls))
+                break
+            _, opener = pending.pop()
+            if opener is None:
+                if tok.kind != "end":
+                    raise ParseError(f"expected end of input, found {tok.text!r}", tok.pos)
+                return operands[0]
+            if tok.text != ")":
+                raise ParseError(f"expected ')', found {tok.text or 'end of input'!r}", tok.pos)
+            if opener.kind == "ident":
+                operands.append(Func(opener.text, operands.pop()))
 
 
 # --------------------------------------------------------------------------
 # formatting
-
-# Binding levels: 1 add/sub, 2 mul/div, 3 unary minus, 4 power, 5 atoms.
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
 
 def format_number(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
@@ -605,46 +610,37 @@ def format_number(v: float) -> str:
     return repr(v)
 
 
-def _level(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(e, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(e, Neg):
-        return _LEVEL_UNARY
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    if isinstance(e, Constant) and e.value < 0:
-        # no negative literals in the grammar: "-3" re-parses as a negation
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
-def _fmt(e: Expr, min_level: int) -> str:
-    if isinstance(e, Constant):
-        text = format_number(e.value)
-    elif isinstance(e, Variable):
-        text = "x"
-    elif isinstance(e, Func):
-        text = f"{e.name}({_fmt(e.arg, _LEVEL_ADD)})"
-    elif isinstance(e, Neg):
-        text = "-" + _fmt(e.arg, _LEVEL_UNARY)
-    elif isinstance(e, Add):
-        text = _fmt(e.left, _LEVEL_ADD) + "+" + _fmt(e.right, _LEVEL_MUL)
-    elif isinstance(e, Sub):
-        text = _fmt(e.left, _LEVEL_ADD) + "-" + _fmt(e.right, _LEVEL_MUL)
-    elif isinstance(e, Mul):
-        text = _fmt(e.left, _LEVEL_MUL) + "*" + _fmt(e.right, _LEVEL_UNARY)
-    elif isinstance(e, Div):
-        text = _fmt(e.left, _LEVEL_MUL) + "/" + _fmt(e.right, _LEVEL_UNARY)
-    else:
-        assert isinstance(e, Pow)
-        text = _fmt(e.base, _LEVEL_ATOM) + "^" + _fmt(e.exponent, _LEVEL_UNARY)
-    if _level(e) < min_level:
-        return f"({text})"
-    return text
-
-
 def format_expr(e: Expr) -> str:
-    """Render e with minimal parentheses; parse(format_expr(e)) == e."""
-    return _fmt(e, _LEVEL_ADD)
+    """Render e with minimal parentheses; parse(format_expr(e)) == e.
+
+    One loop over post_order(e): a node's text is a list of pieces made
+    from its operands' texts.  Only a node with several parents has its
+    text joined into one string, which its parents take as one piece, so a
+    deep subtree's characters are not copied again at every level above."""
+    order = post_order(e)
+    uses = Counter([id(k) for _, kids in order for k in kids])
+    texts: dict[int, tuple[list[str], int]] = {}  # by id: pieces and binding level
+    for node, kids in order:
+        op = op_of(node)
+        # each operand's pieces, in parentheses where it binds looser than
+        # its place allows; a shared operand's text stays for its other parents
+        args = []
+        for k, lo in zip(kids, _LEAST.get(op, (0,))):
+            i = id(k)
+            pieces, level = texts[i] if uses[i] > 1 else texts.pop(i)
+            args.append(["(", *pieces, ")"] if level < lo else pieces)
+        if op == "c":
+            # no negative literals in the grammar: "-3" re-parses as a negation
+            level = _LEVEL_UNARY if node.value < 0 else _LEVEL_ATOM
+            pieces = [format_number(node.value)]
+        elif op == "x":
+            level, pieces = _LEVEL_ATOM, ["x"]
+        elif op == "neg":
+            level, pieces = _LEVEL_UNARY, ["-", *args[0]]
+        elif op in _BINARY:
+            level, pieces = _BINARY[op][1], [*args[0], op, *args[1]]
+        else:
+            level, pieces = _LEVEL_ATOM, [op + "(", *args[0], ")"]
+        i = id(node)
+        texts[i] = (["".join(pieces)] if uses[i] > 1 else pieces), level
+    return "".join(texts[id(e)][0])

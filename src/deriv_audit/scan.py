@@ -75,7 +75,7 @@ def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
     """Undefined-side point within BOUNDARY_TOL of the definedness flip
     between a defined point a and an undefined point b."""
     while abs(b - a) > BOUNDARY_TOL:
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b can overflow near the largest float
         if mid == a or mid == b:
             break
         if tape.value(mid) is not None:

@@ -161,7 +161,7 @@ def dedup_sorted(points: list[float]) -> list[float]:
 def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
     """Shrink a sign-change bracket to ROOT_WIDTH_TOL; None on a hole inside."""
     while hi - lo > ROOT_WIDTH_TOL:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the largest float
         if mid <= lo or mid >= hi:
             break
         v = value_at(mid)
@@ -173,7 +173,7 @@ def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
             lo, flo = mid, v
         else:
             hi = mid
-    for r in (0.5 * (lo + hi), lo, hi):
+    for r in (0.5 * lo + 0.5 * hi, lo, hi):
         v = value_at(r)
         if v is not None and abs(v) <= ROOT_RESIDUAL_TOL:
             return r

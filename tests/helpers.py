@@ -7,9 +7,9 @@ import math
 import random
 
 from deriv_audit.expr import (
-    Add, Constant, Div, EvalOutcome, Expr, Func, Mul, Neg, Pow, Sub,
-    UndefinedReason, Variable, X, FUNCTION_NAMES, HUGE, _pow_value, _sat, cbrt,
-    evaluate, lower,
+    Add, Constant, Div, EvalOutcome, Expr, Func, Mul, Neg, ParseError, Pow, Sub,
+    UndefinedReason, Variable, X, FUNCTION_NAMES, HUGE, _pow_value, _sat, _tokenize,
+    _Token, cbrt, evaluate, format_number, lower,
 )
 from deriv_audit.derivative import _fold_constant, _rewrite
 from deriv_audit.tangents import UNCONFIRMED_BAND
@@ -57,6 +57,13 @@ def random_expr(rng: random.Random, depth: int) -> Expr:
     if r < 0.76:
         return Neg(random_expr(rng, depth - 1))
     return Func(rng.choice(FUNCS), random_expr(rng, depth - 1))
+
+
+def chain(n: int, wrap, leaf: Expr = X) -> Expr:
+    """leaf wrapped n times by wrap, built without recursion."""
+    for _ in range(n):
+        leaf = wrap(leaf)
+    return leaf
 
 
 def substitute_var(e: Expr, replacement: Expr) -> Expr:
@@ -316,3 +323,212 @@ def _simplify_once(e: Expr) -> Expr:
     if folded is not None:
         return folded
     return _rewrite(Func(e.name, *kids) if isinstance(e, Func) else type(e)(*kids))
+
+
+def reference_parse(text: str) -> Expr:
+    """The recursive-descent parser that the stack parser `expr.parse`
+    replaced, kept as the oracle it is tested against."""
+    return _Parser(text).parse()
+
+
+class _Parser:
+    """Recursive descent over:
+
+    expr  := term (("+"|"-") term)*
+    term  := unary (("*"|"/") unary)*
+    unary := "-" unary | power
+    power := atom ("^" unary)?
+    atom  := number | variable | funcname "(" expr ")" | "(" expr ")"
+    """
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.index = 0
+        self.variable_name: str | None = None
+
+    def peek(self) -> _Token:
+        return self.tokens[self.index]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.index]
+        self.index += 1
+        return tok
+
+    def expect_op(self, op: str):
+        tok = self.peek()
+        if tok.kind != "op" or tok.text != op:
+            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        self.advance()
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"expected end of input, found {tok.text!r}", tok.pos)
+        return e
+
+    def expr(self) -> Expr:
+        e = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance().text
+            rhs = self.term()
+            e = Add(e, rhs) if op == "+" else Sub(e, rhs)
+        return e
+
+    def term(self) -> Expr:
+        e = self.unary()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.advance().text
+            rhs = self.unary()
+            e = Mul(e, rhs) if op == "*" else Div(e, rhs)
+        return e
+
+    def unary(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            return Neg(self.unary())
+        return self.power()
+
+    def power(self) -> Expr:
+        base = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            return Pow(base, self.unary())  # right-associative via unary
+        return base
+
+    def atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            if not math.isfinite(float(tok.text)):
+                raise ParseError(f"number {tok.text!r} is too large", tok.pos)
+            return Constant(float(tok.text))
+        if tok.kind == "ident":
+            self.advance()
+            follows_paren = self.peek().kind == "op" and self.peek().text == "("
+            if follows_paren:
+                if tok.text not in FUNCTION_NAMES:
+                    raise ParseError(f"unknown function name {tok.text!r}", tok.pos)
+                self.advance()
+                arg = self.expr()
+                self.expect_op(")")
+                return Func(tok.text, arg)
+            if tok.text in FUNCTION_NAMES:
+                raise ParseError(f"expected '(' after function name {tok.text!r}", self.peek().pos)
+            if self.variable_name is None:
+                self.variable_name = tok.text
+            elif tok.text != self.variable_name:
+                raise ParseError(
+                    f"multiple distinct variable names: {self.variable_name!r} and {tok.text!r}",
+                    tok.pos,
+                )
+            return X
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        raise ParseError(
+            f"expected a number, variable, function call or '(', found {tok.text or 'end of input'!r}",
+            tok.pos,
+        )
+
+
+def reference_d(e: Expr) -> Expr:
+    """The recursive rule pass that `differentiate`'s loop over post_order
+    replaced, kept as the oracle it is tested against."""
+    if isinstance(e, Constant):
+        return Constant(0)
+    if isinstance(e, Variable):
+        return Constant(1)
+    if isinstance(e, Neg):
+        return Neg(reference_d(e.arg))
+    if isinstance(e, Add):
+        return Add(reference_d(e.left), reference_d(e.right))
+    if isinstance(e, Sub):
+        return Sub(reference_d(e.left), reference_d(e.right))
+    if isinstance(e, Mul):
+        return Add(Mul(reference_d(e.left), e.right), Mul(e.left, reference_d(e.right)))
+    if isinstance(e, Div):
+        num = Sub(Mul(reference_d(e.left), e.right), Mul(e.left, reference_d(e.right)))
+        return Div(num, Pow(e.right, Constant(2)))
+    if isinstance(e, Pow):
+        u, v = e.base, e.exponent
+        if isinstance(v, Constant):
+            return Mul(Mul(v, Pow(u, Constant(v.value - 1.0))), reference_d(u))
+        # general exponent: u^v * (v' ln u + v u'/u)
+        return Mul(e, Add(Mul(reference_d(v), Func("ln", u)), Mul(v, Div(reference_d(u), u))))
+    assert isinstance(e, Func)
+    u = e.arg
+    du = reference_d(u)
+    if e.name == "sin":
+        return Mul(Func("cos", u), du)
+    if e.name == "cos":
+        return Mul(Neg(Func("sin", u)), du)
+    if e.name == "tan":
+        return Div(du, Pow(Func("cos", u), Constant(2)))
+    if e.name == "exp":
+        return Mul(Func("exp", u), du)
+    if e.name == "ln":
+        return Div(du, u)
+    if e.name == "sqrt":
+        return Div(du, Mul(Constant(2), Func("sqrt", u)))
+    if e.name == "cbrt":
+        # denominator form on purpose: the hole at u = 0 must surface as a
+        # division by zero, not hide inside a fractional power
+        return Div(du, Mul(Constant(3), Func("cbrt", Pow(u, Constant(2)))))
+    assert e.name == "abs"
+    # u/abs(u) rather than sign(u): the corner at u = 0 stays visible
+    return Div(Mul(du, u), Func("abs", u))
+
+
+def reference_format(e: Expr) -> str:
+    """The recursive formatter that `expr.format_expr`'s loop over
+    post_order replaced, kept as the oracle it is tested against."""
+    return _fmt(e, _LEVEL_ADD)
+
+
+# Binding levels: 1 add/sub, 2 mul/div, 3 unary minus, 4 power, 5 atoms.
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+
+
+def _level(e: Expr) -> int:
+    if isinstance(e, (Add, Sub)):
+        return _LEVEL_ADD
+    if isinstance(e, (Mul, Div)):
+        return _LEVEL_MUL
+    if isinstance(e, Neg):
+        return _LEVEL_UNARY
+    if isinstance(e, Pow):
+        return _LEVEL_POW
+    if isinstance(e, Constant) and e.value < 0:
+        # no negative literals in the grammar: "-3" re-parses as a negation
+        return _LEVEL_UNARY
+    return _LEVEL_ATOM
+
+
+def _fmt(e: Expr, min_level: int) -> str:
+    if isinstance(e, Constant):
+        text = format_number(e.value)
+    elif isinstance(e, Variable):
+        text = "x"
+    elif isinstance(e, Func):
+        text = f"{e.name}({_fmt(e.arg, _LEVEL_ADD)})"
+    elif isinstance(e, Neg):
+        text = "-" + _fmt(e.arg, _LEVEL_UNARY)
+    elif isinstance(e, Add):
+        text = _fmt(e.left, _LEVEL_ADD) + "+" + _fmt(e.right, _LEVEL_MUL)
+    elif isinstance(e, Sub):
+        text = _fmt(e.left, _LEVEL_ADD) + "-" + _fmt(e.right, _LEVEL_MUL)
+    elif isinstance(e, Mul):
+        text = _fmt(e.left, _LEVEL_MUL) + "*" + _fmt(e.right, _LEVEL_UNARY)
+    elif isinstance(e, Div):
+        text = _fmt(e.left, _LEVEL_MUL) + "/" + _fmt(e.right, _LEVEL_UNARY)
+    else:
+        assert isinstance(e, Pow)
+        text = _fmt(e.base, _LEVEL_ATOM) + "^" + _fmt(e.exponent, _LEVEL_UNARY)
+    if _level(e) < min_level:
+        return f"({text})"
+    return text

@@ -11,7 +11,8 @@ from deriv_audit.expr import (
     lower, op_of, parse,
 )
 from helpers import (
-    central_diff, eval_defined, fd_regular_point, random_expr, reference_simplify,
+    central_diff, chain, eval_defined, fd_regular_point, random_expr, reference_d,
+    reference_format, reference_simplify,
 )
 
 
@@ -93,6 +94,20 @@ class TestRules:
         sym = evaluate(d, x).value
         fd = central_diff(parse(text), x, 1e-6)
         assert abs(sym - fd) <= max(1e-5, 1e-5 * abs(sym))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
+    def test_match_the_recursive_oracle(self, seed, depth):
+        e = random_expr(random.Random(seed), depth)
+        for tree in (e, differentiate(e).simplified):
+            raw, ref = differentiate(tree).raw, reference_d(tree)
+            assert raw == ref
+            assert format_expr(raw) == reference_format(ref)
+
+    def test_deep_neg_chain(self):
+        d = differentiate(chain(5000, Neg))
+        assert d.raw == chain(5000, Neg, Constant(1))
+        assert d.simplified == Constant(1)  # the double negations cancel
 
 
 class TestSimplify:

@@ -2,12 +2,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deriv_audit.derivative import differentiate
 from deriv_audit.expr import (
     Add, Constant, Div, Func, Interval, Mul, Neg, ParseError, Pow, Sub,
     UndefinedReason, X, evaluate, format_expr, parse,
 )
-from helpers import random_expr
+from helpers import chain, random_expr, reference_format, reference_parse
+
+DEEP = 5000
 
 
 class TestParse:
@@ -66,6 +70,78 @@ class TestParse:
         with pytest.raises(ParseError, match="too large") as exc:
             parse("x + 1e999")
         assert exc.value.position == 4
+
+
+class TestDeep:
+    """Every pass over a tree runs without recursion, at any depth."""
+
+    def test_parse_nested_parentheses(self):
+        assert parse("(" * DEEP + "x" + ")" * DEEP) is X
+
+    def test_parse_minus_chain(self):
+        assert parse("-" * DEEP + "x") == chain(DEEP, Neg)
+
+    def test_parse_power_chain(self):
+        assert parse("^".join(["x"] * DEEP)) == chain(DEEP - 1, lambda e: Pow(X, e))
+
+    def test_parse_nested_calls(self):
+        assert parse("sin(" * DEEP + "x" + ")" * DEEP) == chain(DEEP, lambda e: Func("sin", e))
+
+    def test_format_neg_chain(self):
+        assert format_expr(chain(DEEP, Neg)) == "-" * DEEP + "x"
+
+    def test_eq_and_hash_on_chains_built_separately(self):
+        a, b = chain(DEEP, Neg), chain(DEEP, Neg)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != chain(DEEP, Neg, Constant(1)) and a != chain(DEEP - 1, Neg)
+
+
+def _parse_outcome(parse_fn, text):
+    try:
+        tree = parse_fn(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.message, exc.position
+    return "tree", repr(tree)  # the dataclass repr: a structure check apart from ==
+
+
+def _edited(t):
+    seed, at, char = t
+    text = format_expr(random_expr(random.Random(seed), 5))
+    at %= len(text) + 1
+    return text[:at] + ("" if char == "del" else char) + text[at + 1:]
+
+
+_TOKENS = ["x", "y", "2", "0.5", ".", "1e999", "sin", "sinh", "sqrt", "(", ")", "+", "-",
+           "*", "/", "^", " ", "$"]
+_TEXTS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: format_expr(random_expr(random.Random(seed), 8))),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 200),
+              st.sampled_from(_TOKENS + ["del"])).map(_edited),
+    st.lists(st.sampled_from(_TOKENS), max_size=20).map("".join),
+    st.text(max_size=12),
+)
+
+
+class TestAgainstRecursiveOracles:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=_TEXTS)
+    def test_parse_gives_the_same_tree_or_error(self, text):
+        assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
+    def test_format_gives_the_same_text(self, seed, depth):
+        e = random_expr(random.Random(seed), depth)
+        for tree in (e, differentiate(e).simplified):
+            assert format_expr(tree) == reference_format(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 6))
+    def test_eq_and_hash_are_structural(self, seed, depth):
+        a, b = (random_expr(random.Random(seed), depth) for _ in range(2))
+        c = random_expr(random.Random(seed + 1), depth)
+        assert a == b and hash(a) == hash(b)
+        assert (a == c) == (repr(a) == repr(c))
 
 
 class TestFormat:

@@ -302,13 +302,32 @@ class TestCli:
         ["classify", "--at", "0", "--", "-" * 3000 + "x"],
     ], ids=["diff-parens", "analyze-parens", "classify-parens", "diff-minus", "analyze-minus",
             "classify-minus"])
-    def test_deep_nesting_exits_two_with_one_line(self, capsys, argv, tmp_path, monkeypatch):
+    def test_deep_nesting_exits_zero(self, argv, tmp_path, monkeypatch):
+        # each input is x, nested: it prints what x prints, with its own text
+        # as f, and writes the same plot
         monkeypatch.chdir(tmp_path)
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "deriv-audit: expression nested too deeply\n"
-        assert not list(tmp_path.iterdir())  # nothing written
+        out, err, code = _run_cli([*argv[:-1], "x"])
+        assert (err, code) == ("", 0)
+        plots = [p.read_bytes() for p in tmp_path.iterdir()]
+        for p in tmp_path.iterdir():
+            p.unlink()
+        assert _run_cli(argv) == (out.replace("f(x) = x", f"f(x) = {argv[-1]}", 1), "", 0)
+        assert [p.read_bytes() for p in tmp_path.iterdir()] == plots
+        if argv[0] == "diff":
+            assert out == "1\n"
+
+    def test_deep_equal_bases_merge(self):
+        # u^3*u^2 -> u^5 compares two equal but distinct 3,000-deep bases
+        n = 3000
+        u = "sin(" * n + "x" + ")" * n
+        out, err, code = _run_cli(["diff", f"({u})^3*({u})^2/({u})"])
+        assert (err, code) == ("", 0)
+        # u' = cos(sin(...(x)))*(...*(cos(sin(x))*cos(x)))
+        du = "*(".join(f"cos({'sin(' * k}x{')' * k})" for k in range(n - 1, 0, -1))
+        du += "*cos(x)" + ")" * (n - 2)
+        expected = f"((3*{u}^2*({du})*{u}^2+{u}^3*(2*{u}*({du})))*{u}-{u}^5*({du}))/{u}^2\n"
+        same = out == expected  # not in the assert: no diff of 68 MB texts
+        assert same
 
     def test_io_error_exit_three(self, capsys, tmp_path):
         missing = tmp_path / "no" / "dir" / "plot.csv"
@@ -372,7 +391,7 @@ _EXPRESSIONS = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda seed: format_expr(random_expr(random.Random(seed), 4))),
     st.text(alphabet="x()+-*/^.0123456789e sincotaqrlb", max_size=30),
     st.text(max_size=12),
-    st.tuples(st.sampled_from(["(", "-", "sqrt(", "x^"]), st.integers(1, 400)).map(
+    st.tuples(st.sampled_from(["(", "-", "sqrt(", "sin(", "x^"]), st.integers(1, 5000)).map(
         lambda t: t[0] * t[1] + "x" + ")" * (t[1] if t[0].endswith("(") else 0)),
 )
 

@@ -194,6 +194,18 @@ class TestGridPoints:
         assert xs[0] == lo and xs[-1] == hi
         assert all(a < b for a, b in zip(xs, xs[1:]))
 
+    @pytest.mark.parametrize("text,lo,hi,n", [
+        ("sin(x)", -1e308, 0.0, 3),  # a sign change of f' bisected there
+        ("sqrt(x+1.5e308)+sin(x)", -1.7e308, -1e308, 8),  # and a definedness flip
+    ])
+    def test_bisection_next_to_the_largest_float(self, text, lo, hi, n):
+        # lo + hi overflows to -inf there, where sin and cos raise
+        rep = analyze(text, Interval(lo, hi), grid_n=n)
+        notes = [note.x for note in rep.interval_notes]
+        assert all(math.isfinite(x) for x in [*rep.naive_tangents, *notes])
+        if text.startswith("sqrt"):
+            assert -1.5e308 in notes
+
     def test_wide_interval_finds_the_tangent_at_zero(self):
         rep = analyze("x^2", Interval(-1e308, 1e308))
         assert [t.x for t in rep.tangents] == [0.0]
