@@ -16,7 +16,7 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -37,13 +37,35 @@ NAN = math.nan
 
 
 class Expr:
-    """Base class for immutable expression tree nodes.  Equality and the
-    hash are structural, and both walk the tree without recursion."""
+    """Base class for immutable expression tree nodes.  Equality, the hash
+    and the repr are structural, and each walks the tree without recursion."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_expr(self)
+
+    def __repr__(self) -> str:
+        """The dataclass repr, as in `Add(left=Variable(), right=Constant(value=1.0))`.
+        Over post_order, a node's text is a list of strings and of its
+        operands' lists, shared, not copied; one stack then flattens it."""
+        texts: dict[int, list] = {}  # by id, as in __hash__
+        for node, _ in post_order(self):
+            text: list = [type(node).__qualname__, "("]
+            for k, field in enumerate(fields(node)):
+                v = getattr(node, field.name)
+                text += [", " * (k > 0), field.name, "=",
+                         texts[id(v)] if isinstance(v, Expr) else repr(v)]
+            texts[id(node)] = [*text, ")"]
+        out: list[str] = []
+        stack = [texts[id(self)]]
+        while stack:
+            text = stack.pop()
+            if isinstance(text, str):
+                out.append(text)
+            else:
+                stack += reversed(text)
+        return "".join(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
@@ -66,7 +88,7 @@ class Expr:
         return h[id(self)]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Constant(Expr):
     value: float
 
@@ -77,47 +99,47 @@ class Constant(Expr):
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Variable(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Func(Expr):
     name: str
     arg: Expr

@@ -10,6 +10,7 @@ reported as interval notes at their boundary rather than as candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .expr import Expr, Tape, UndefinedReason, lower
@@ -90,29 +91,31 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     `f_tape`), classified."""
     tape, iv, xs = grid.tape, grid.iv, grid.xs
 
-    def holes_near(r: float) -> list[float]:
-        return [s for s in _snap_values(r) if iv.lo <= s <= iv.hi and tape.value(s) is None]
-
     # A single point is a hole where fp is undefined.  On a grid, each
     # defined/undefined flip between adjacent samples gives the edge of an
-    # undefined run and its bisected boundary.  Interior points of an
-    # undefined region are skipped; its boundary is what matters.
+    # undefined run and a seed, its bisected boundary.  Interior points of
+    # an undefined region are skipped; its boundary is what matters.
     col = grid.columns[tape.root]
     holes = [iv.lo] if len(xs) == 1 and col[0] != col[0] else []
+    seeds = []
     for i in grid.events.flips:
         undefined_next = col[i + 1] != col[i + 1]
         defined_x, undefined_x = (xs[i], xs[i + 1]) if undefined_next else (xs[i + 1], xs[i])
-        boundary = _bisect_boundary(tape, defined_x, undefined_x)
-        holes += [undefined_x, boundary, *holes_near(boundary)]
+        holes.append(undefined_x)
+        seeds.append(_bisect_boundary(tape, defined_x, undefined_x))
 
-    # Exact zeros of denominators and of sqrt/ln arguments: holes the grid
-    # can sail straight past without a definedness flip.
+    # Exact zeros of denominators and of sqrt/ln arguments are seeds too:
+    # holes the grid can sail straight past without a definedness flip.
+    # Only a sign change is bisected, so only it needs the slot's subtree.
     for slot in tape.domain_slots():
-        slot_col = grid.columns[slot]
-        events = column_events(slot_col)
-        if events.zeros or events.changes:
-            for r in column_roots(xs, slot_col, events, lower(tape.nodes[slot]).value):
-                holes += holes_near(r)
+        events = column_events(grid.columns[slot])
+        value_at = lower(tape.nodes[slot]).value if events.changes else None
+        seeds += column_roots(xs, grid.columns[slot], events, value_at)
+
+    # The undefined snaps of each distinct seed, tested once: a deep nest has
+    # thousands of roots at 0.  The sign keeps -0.0, whose snaps differ, apart.
+    for r in {(r, math.copysign(1.0, r)): r for r in seeds}.values():
+        holes += [s for s in _snap_values(r) if iv.lo <= s <= iv.hi and tape.value(s) is None]
 
     candidates: list[CandidatePoint] = []
     notes: list[IntervalNote] = []

@@ -154,10 +154,6 @@ def clusters(items, x) -> list[list]:
     return groups
 
 
-def dedup_sorted(points: list[float]) -> list[float]:
-    return [group[0] for group in clusters(points, float)]
-
-
 def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
     """Shrink a sign-change bracket to ROOT_WIDTH_TOL; None on a hole inside."""
     while hi - lo > ROOT_WIDTH_TOL:
@@ -182,14 +178,14 @@ def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
 
 def column_roots(xs: list[float], col: list[float], events: Events, value_at) -> list[float]:
     """Zeros of an expression from its column at xs and the column's
-    events: exact grid zeros, plus each sign change bisected with
-    `value_at` (the value at one point); sorted and deduplicated."""
+    events: exact grid zeros, plus each sign change bisected with `value_at`
+    (the value at one point; None if no sign change); sorted and deduplicated."""
     roots = [xs[i] for i in events.zeros]
     for i in events.changes:
         r = _bisect_root(value_at, xs[i], xs[i + 1], col[i])
         if r is not None:
             roots.append(r)
-    return dedup_sorted(roots)
+    return [group[0] for group in clusters(roots, float)]
 
 
 def scan_roots(grid: Grid) -> RootScan:
@@ -203,12 +199,12 @@ def scan_roots(grid: Grid) -> RootScan:
     if len(xs) == 1:
         return RootScan(roots=tuple(roots), unconfirmed=())
     changes = set(events.changes)
-    unconfirmed = [
+    unconfirmed = clusters([
         xs[i] for i in events.small
         if i - 1 not in changes and i not in changes
         and not any(abs(xs[i] - r) <= DEDUP_TOL for r in roots)
-    ]
-    return RootScan(roots=tuple(roots), unconfirmed=tuple(dedup_sorted(unconfirmed)))
+    ], float)
+    return RootScan(roots=tuple(roots), unconfirmed=tuple(group[0] for group in unconfirmed))
 
 
 def combine_tangent_points(

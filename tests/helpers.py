@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields
 
 from deriv_audit.expr import (
     Add, Constant, Div, EvalOutcome, Expr, Func, Mul, Neg, ParseError, Pow, Sub,
@@ -482,6 +483,16 @@ def reference_d(e: Expr) -> Expr:
     assert e.name == "abs"
     # u/abs(u) rather than sign(u): the corner at u = 0 stays visible
     return Div(Mul(du, u), Func("abs", u))
+
+
+def reference_repr(e: Expr) -> str:
+    """The dataclass-generated repr that `Expr.__repr__`'s loop over
+    post_order replaced, kept as the oracle it is tested against."""
+    args = ", ".join(
+        f"{f.name}={reference_repr(v) if isinstance(v, Expr) else repr(v)}"
+        for f in fields(e) for v in [getattr(e, f.name)]
+    )
+    return f"{type(e).__qualname__}({args})"
 
 
 def reference_format(e: Expr) -> str:

@@ -9,7 +9,7 @@ from deriv_audit.expr import (
     Add, Constant, Div, Func, Interval, Mul, Neg, ParseError, Pow, Sub,
     UndefinedReason, X, evaluate, format_expr, parse,
 )
-from helpers import chain, random_expr, reference_format, reference_parse
+from helpers import chain, random_expr, reference_format, reference_parse, reference_repr
 
 DEEP = 5000
 
@@ -90,6 +90,9 @@ class TestDeep:
     def test_format_neg_chain(self):
         assert format_expr(chain(DEEP, Neg)) == "-" * DEEP + "x"
 
+    def test_repr_neg_chain(self):
+        assert repr(chain(DEEP, Neg)) == "Neg(arg=" * DEEP + "Variable()" + ")" * DEEP
+
     def test_eq_and_hash_on_chains_built_separately(self):
         a, b = chain(DEEP, Neg), chain(DEEP, Neg)
         assert a is not b and a == b and hash(a) == hash(b)
@@ -134,6 +137,17 @@ class TestAgainstRecursiveOracles:
         e = random_expr(random.Random(seed), depth)
         for tree in (e, differentiate(e).simplified):
             assert format_expr(tree) == reference_format(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
+    def test_repr_gives_the_same_text(self, seed, depth):
+        e = random_expr(random.Random(seed), depth)
+        for tree in (e, differentiate(e).simplified):
+            assert repr(tree) == reference_repr(tree)
+
+    def test_repr_is_the_dataclass_text(self):
+        assert repr(parse("sin(x)+1")) == (
+            "Add(left=Func(name='sin', arg=Variable()), right=Constant(value=1.0))")
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 6))

@@ -1,9 +1,16 @@
+import math
+import sys
+
 import pytest
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Interval, UndefinedReason, evaluate, format_expr, lower, parse
+from deriv_audit.expr import (
+    Constant, Func, Interval, Pow, Tape, UndefinedReason, X, evaluate, format_expr, lower, parse,
+)
+from deriv_audit.report import analyze
 from deriv_audit.scan import scan_detailed
-from deriv_audit.tangents import Grid
+from deriv_audit.tangents import Grid, column_events
+from helpers import chain
 
 IV = Interval(-1, 1)
 
@@ -86,6 +93,65 @@ class TestScan:
         xs = [c.x0 for c in points]
         assert xs == sorted(xs)
         assert xs == pytest.approx([-0.5, 0.25], abs=1e-9)
+
+
+class TestWork:
+    """What scan_detailed evaluates and lowers, counted."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        """Record lower's argument wherever the package refers to it, and
+        count Tape.run calls."""
+        lowered, runs = [], [0]
+        original_run = Tape.run
+
+        def counted_lower(e):
+            lowered.append(e)
+            return lower(e)
+
+        def counted_run(self, x):
+            runs[0] += 1
+            return original_run(self, x)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("deriv_audit") and getattr(module, "lower", None) is lower:
+                monkeypatch.setattr(module, "lower", counted_lower)
+        monkeypatch.setattr(Tape, "run", counted_run)
+        return lowered, runs
+
+    def test_linear_in_nesting_depth(self, monkeypatch):
+        # every sqrt argument and denominator of f' is zero at the grid node
+        # 0 and nowhere changes sign: one seed, no bisection, no sub-tape
+        scans = []
+        for depth in (50, 100, 200):
+            f = chain(depth, lambda e: Func("sqrt", e), Pow(X, Constant(2)))
+            f_tape, grid = lower(f), Grid(differentiate(f).simplified, IV, 40)
+            assert len(grid.tape.domain_slots()) == 2 * depth
+            with monkeypatch.context() as patch:
+                lowered, runs = self._count_calls(patch)
+                result = scan_detailed(f_tape, grid)
+            assert [c.x0 for c in result.candidates] == [0.0]
+            scans.append((len(lowered), runs[0]))
+        assert scans[0][0] == 0 and scans[0] == scans[1] == scans[2]
+
+    def test_wide_sum_lowers_only_sign_changing_slots(self, monkeypatch):
+        # on a 40-step grid over [-1, 1], -0.7, -0.2 and 0.5 are nodes, where
+        # x-c has an exact zero and no sign change; the rest are not
+        cs = [-0.7, -0.413, -0.2, 0.013, 0.25, 0.333, 0.5, 0.687, 0.9]
+        f = parse("+".join(f"sqrt(x-{c})" if c > 0 else f"sqrt(x+{-c})" for c in cs))
+        f_tape, grid = lower(f), Grid(differentiate(f).simplified, IV, 40)
+        lowered, _ = self._count_calls(monkeypatch)
+        result = scan_detailed(f_tape, grid)
+        assert [note.x for note in result.interval_notes] == cs
+        events = {slot: column_events(grid.columns[slot]) for slot in grid.tape.domain_slots()}
+        changing = [grid.tape.nodes[slot] for slot, e in events.items() if e.changes]
+        assert len(changing) == 6 and any(e.zeros and not e.changes for e in events.values())
+        assert lowered == changing
+
+    @pytest.mark.parametrize("lo", [-1.0, -0.0])
+    def test_negative_zero_keeps_its_hole(self, lo):
+        (cand, _), = analyze("cbrt(x)", Interval(lo, -0.0)).candidates
+        assert cand.x0 == 0.0 and math.copysign(1.0, cand.x0) == -1.0
 
 
 class TestSoundness:
