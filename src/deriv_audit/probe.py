@@ -1,10 +1,13 @@
 """Differentiability at a point, decided from the limit definition.
 
-One-sided difference quotients are sampled over a geometric step schedule
-and each side is classified as convergent (with an extrapolated limit) or
-cleanly divergent.  The combination gives the verdict: a finite derivative,
-a vertical tangent, a cusp, a corner, or inconclusive.  Oscillatory
-non-existence is deliberately left inconclusive rather than guessed.
+One-sided difference quotients are sampled over a geometric step schedule.
+One model classifies each side: q_k = L + c*r**k, whose rate r is the
+least-squares fit of ln|q_{k+1} - q_k| against k, of order p = -log2(r).  A
+side converges (with an extrapolated limit) at p >= P_MIN or once its
+deltas settle, and diverges cleanly at p <= -P_MIN.  The combination gives
+the verdict: a finite derivative, a vertical tangent, a cusp, a corner, or
+inconclusive.  Oscillatory non-existence and orders between -P_MIN and
+P_MIN are deliberately left inconclusive rather than guessed.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ STEPS = 40
 # judge convergence; they still feed the divergence magnitude check, where
 # cancellation is not the limiting factor.
 WINDOW_MIN_H = 1e-8
+# A side needs this many quotients; the rate is fitted to the last this many.
 MIN_WINDOW = 6
 
+# Deltas within this (relative above 1) are settled noise.
 CONVERGENCE_TOL = 1e-6
-SHRINK_FACTOR_MAX = 0.75
 EXTRAPOLATION_DISTRUST = 10.0
 
-DIVERGENCE_SLOPE_MAX = -0.2
-DIVERGENCE_RESIDUAL_MAX = 0.5
+# A side converges at order p >= P_MIN and diverges at order p <= -P_MIN,
+# where q(h) - L = O(h^p); oscillation and slower orders stay undecided.
+P_MIN = 0.25
 DIVERGENCE_MAGNITUDE_MIN = 1e4
 
 SIDE_MERGE_TOL = 1e-4
@@ -128,20 +133,17 @@ class _Side:
     diagnostic: str | None = None
 
 
-def _window(schedule, outcomes):
+def _window(schedule, outcomes) -> list[float]:
     """Trailing run of defined quotients among steps with h >= WINDOW_MIN_H."""
-    hs: list[float] = []
     qs: list[float] = []
     for h, out in zip(schedule, outcomes):
         if h < WINDOW_MIN_H:
             break
         if out.is_defined:
-            hs.append(h)
             qs.append(out.value)
         else:
-            hs.clear()
             qs.clear()
-    return hs, qs
+    return qs
 
 
 def _extrapolate(qs: list[float]) -> float:
@@ -152,18 +154,11 @@ def _extrapolate(qs: list[float]) -> float:
     return e_last + (e_last - e_prev) * r2 / (1.0 - r2)
 
 
-def _loglog_fit(hs, qs):
-    xs = [math.log(h) for h in hs]
-    ys = [math.log(abs(q)) for q in qs]
-    n = len(xs)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    residual = math.sqrt(sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / n)
-    return slope, residual
+def _rate(run: list[float]) -> float:
+    """ln r of deltas d_k ~ c*r**k: the least-squares slope of ln|d_k| on k."""
+    mk = 0.5 * (len(run) - 1)
+    sxx = sum((k - mk) ** 2 for k in range(len(run)))
+    return sum((k - mk) * math.log(abs(d)) for k, d in enumerate(run)) / sxx
 
 
 def _last_defined_value(outcomes) -> float | None:
@@ -174,47 +169,46 @@ def _last_defined_value(outcomes) -> float | None:
 
 
 def _analyze_side(schedule, outcomes, label: str) -> _Side:
-    hs, qs = _window(schedule, outcomes)
+    qs = _window(schedule, outcomes)
     if len(qs) < MIN_WINDOW:
         return _Side("failed", diagnostic=f"{label} side: insufficient samples")
 
-    deltas = [abs(b - a) for a, b in zip(qs, qs[1:])]
-    final_delta = deltas[-1]
+    # One model decides both ways: q_k = L + c*r**k, of order p = -log2(r).
+    # The rate r is fitted to the last MIN_WINDOW - 1 deltas before the
+    # window's settled tail of deltas within the noise floor tol, if they are
+    # one-signed and above tol.
     tol = max(CONVERGENCE_TOL, CONVERGENCE_TOL * abs(qs[-1]))
+    deltas = [b - a for a, b in zip(qs, qs[1:])]
+    end = len(deltas)
+    while end and abs(deltas[end - 1]) <= tol:
+        end -= 1
+    run = deltas[max(end - MIN_WINDOW + 1, 0):end]
+    fitted = len(run) == MIN_WINDOW - 1 and all(
+        abs(d) > tol and (d > 0.0) == (run[0] > 0.0) for d in run)
+    log_r = _rate(run) if fitted else None
 
-    # Average shrink factor, measured geometrically from the peak delta down
-    # to the smallest delta after it.  Deltas below the tolerance are
-    # cancellation noise with no rate information: the peak anchor skips a
-    # pre-asymptotic hump, the floor anchor skips the noise bounce at the
-    # smallest steps.  A peak sitting at the very end means growth, not decay;
-    # a growing sequence also always fails the final-delta gate below.
-    significant = [(i, d) for i, d in enumerate(deltas) if d > tol]
-    if not significant:
-        shrink = 0.0
-    else:
-        i_max, d_max = max(significant, key=lambda t: t[1])
-        if i_max == len(deltas) - 1:
-            shrink = 1.0
-        else:
-            tail = deltas[i_max + 1:]
-            d_min = min(tail)
-            i_min = i_max + 1 + tail.index(d_min)
-            shrink = (d_min / d_max) ** (1.0 / (i_min - i_max))
-
-    if shrink <= SHRINK_FACTOR_MAX and final_delta <= tol:
-        limit = _extrapolate(qs)
-        if abs(limit - qs[-1]) > EXTRAPOLATION_DISTRUST * tol:
-            limit = qs[-1]  # extrapolation assumed the wrong error model
-        return _Side("converged", limit=limit)
-
-    if all(q > 0.0 for q in qs) or all(q < 0.0 for q in qs):
-        slope, residual = _loglog_fit(hs, qs)
+    if end < len(deltas):
+        # Settled within tol: converged, unless a full run before it grew.
+        if log_r is None or log_r < 0.0:
+            limit = _extrapolate(qs)
+            if abs(limit - qs[-1]) > EXTRAPOLATION_DISTRUST * tol:
+                limit = qs[-1]  # extrapolation assumed the wrong error model
+            return _Side("converged", limit=limit)
+    elif log_r is not None:
+        p = log_r / math.log(RATIO)
+        r = math.exp(log_r)
+        ratios = [b / a for a, b in zip(run, run[1:])]
+        # Sum the geometric tail.  A change dr of the rate moves the sum by
+        # |d|*dr/(1-r)^2: the fit is clean when the spread of the run's own
+        # step ratios moves it by at most tol.
+        if p >= P_MIN and abs(deltas[-1]) * (max(ratios) - min(ratios)) <= tol * (1.0 - r) ** 2:
+            return _Side("converged", limit=qs[-1] + deltas[-1] * r / (1.0 - r))
         # Magnitude is read at the tail of the full schedule: divergence keeps
         # growing below the convergence window's h floor.
         tail = _last_defined_value(outcomes)
         if (
-            slope <= DIVERGENCE_SLOPE_MAX
-            and residual <= DIVERGENCE_RESIDUAL_MAX
+            p <= -P_MIN
+            and (all(q > 0.0 for q in qs) or all(q < 0.0 for q in qs))
             and tail is not None
             and abs(tail) >= DIVERGENCE_MAGNITUDE_MIN
             and (tail > 0.0) == (qs[-1] > 0.0)

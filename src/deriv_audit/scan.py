@@ -92,16 +92,16 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     tape, iv, xs = grid.tape, grid.iv, grid.xs
 
     # A single point is a hole where fp is undefined.  On a grid, each
-    # defined/undefined flip between adjacent samples gives the edge of an
-    # undefined run and a seed, its bisected boundary.  Interior points of
-    # an undefined region are skipped; its boundary is what matters.
+    # defined/undefined flip between adjacent samples gives a seed: the
+    # undefined run's boundary, bisected.  The flip's undefined node adds
+    # nothing: where it is the boundary, bisection ends on it; elsewhere it
+    # lies inside the undefined region, which only its boundary describes.
     col = grid.columns[tape.root]
     holes = [iv.lo] if len(xs) == 1 and col[0] != col[0] else []
     seeds = []
     for i in grid.events.flips:
         undefined_next = col[i + 1] != col[i + 1]
         defined_x, undefined_x = (xs[i], xs[i + 1]) if undefined_next else (xs[i + 1], xs[i])
-        holes.append(undefined_x)
         seeds.append(_bisect_boundary(tape, defined_x, undefined_x))
 
     # Exact zeros of denominators and of sqrt/ln arguments are seeds too:

@@ -2,14 +2,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Constant, EvalOutcome, Mul, Sub, X, _sat, lower, parse
+from deriv_audit.expr import Constant, EvalOutcome, Interval, Mul, Sub, X, _sat, lower, parse
 from deriv_audit.probe import (
-    H0, RATIO, STEPS, Corner, Cusp, Differentiable, Inconclusive, QuotientProbe,
-    VerticalTangent, classify, probe,
+    CONVERGENCE_TOL, DIVERGENCE_MAGNITUDE_MIN, H0, P_MIN, RATIO, STEPS, Corner, Cusp,
+    Differentiable, Inconclusive, QuotientProbe, VerticalTangent, classify, probe,
 )
+from deriv_audit.report import analyze
+from deriv_audit.tangents import Provenance
 from helpers import eval_defined, probe_regular_point, random_expr, substitute_var
 
 
@@ -188,6 +190,82 @@ class TestClassify:
         v = classify(p)
         assert isinstance(v, Inconclusive)
         assert "right" in v.diagnostic or "disagree" in v.diagnostic
+
+
+# f'(0) = 0, approached at an order p < 1 or just above it: q(h) = O(h^p).
+SLOW_ORDERS = [
+    ("cbrt(x^4)", lambda x: _cbrt(x**4)),
+    ("x*cbrt(x)", lambda x: x * _cbrt(x)),
+    ("abs(x)^1.5", lambda x: abs(x) ** 1.5),
+    ("cbrt(x^5)", lambda x: _cbrt(x**5)),
+    ("sqrt(abs(x))*x", lambda x: math.sqrt(abs(x)) * x),
+    ("cbrt(x^4)*cos(x)", lambda x: _cbrt(x**4) * math.cos(x)),
+    ("exp(x)*cbrt(x^4)", lambda x: math.exp(x) * _cbrt(x**4)),
+]
+
+
+def _geometric_probe(q):
+    """Both sides sampled from q(k), the quotient at step k."""
+    schedule = tuple(H0 * RATIO**k for k in range(STEPS))
+    side = tuple(EvalOutcome.of(q(k)) for k in range(STEPS))
+    return QuotientProbe(x0=0.0, schedule=schedule, right=side, left=side)
+
+
+class TestSlowConvergence:
+    @pytest.mark.parametrize("text,g", SLOW_ORDERS, ids=[t for t, _ in SLOW_ORDERS])
+    def test_slow_order_is_differentiable_zero(self, text, g):
+        # oracle: |q| shrinks at every step on both sides, toward 0
+        table = _oracle_quotients(g, 0.0, range(STEPS))
+        for side in (0, 1):
+            qs = [abs(table[k][side]) for k in range(STEPS)]
+            assert all(b < a for a, b in zip(qs, qs[1:]))
+            assert qs[-1] < 1e-4
+        p = probe(parse(text), 0.0)
+        for k in range(STEPS):
+            assert p.right[k].value == pytest.approx(table[k][0], rel=1e-9)
+            assert p.left[k].value == pytest.approx(table[k][1], rel=1e-9)
+        v = classify(p)
+        assert isinstance(v, Differentiable), v
+        assert abs(v.value) <= 1e-6
+
+    @pytest.mark.parametrize("text", [t for t, _ in SLOW_ORDERS])
+    def test_slow_order_tangent_is_repaired(self, text):
+        rep = analyze(text, Interval(-1, 1))
+        repaired = [t.x for t in rep.tangents if t.provenance is Provenance.REPAIRED_BY_DEFINITION]
+        assert repaired == [0.0]
+
+    def test_order_below_p_min_stays_inconclusive(self):
+        # q(h) = h^0.2 converges, but too slowly to be told from a drift
+        v = classify(probe(parse("abs(x)^1.2"), 0.0))
+        assert isinstance(v, Inconclusive)
+
+    def test_steep_tan_is_never_a_corner(self):
+        # f = tan(a*x^2) with a = 1.3e14: f'(0) = 0, and the quotients are
+        # tan's noise until the last steps of the window
+        v = classify(probe(parse("tan((cbrt(0.5)*x/(0.25^4)^3)^2)"), 0.0))
+        assert not isinstance(v, Corner)
+        if isinstance(v, Differentiable):
+            assert abs(v.value) <= 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(limit=st.floats(-1e3, 1e3), c=st.floats(1e-3, 1e3), negative=st.booleans(),
+       p=st.floats(P_MIN + 0.01, 3.0))
+def test_geometric_approach_converges_to_its_limit(limit, c, negative, p):
+    c = -c if negative else c
+    v = classify(_geometric_probe(lambda k: limit + c * 2.0 ** (-p * k)))
+    assert isinstance(v, Differentiable), v
+    # a tail that settled within tol per step leaves at most a few tol unsummed
+    assert abs(v.value - limit) <= 10 * CONVERGENCE_TOL * max(1.0, abs(limit))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(1e-3, 1e3), negative=st.booleans(), p=st.floats(P_MIN + 0.01, 3.0))
+def test_geometric_growth_diverges_with_the_sign_of_c(c, negative, p):
+    assume(c * 2.0 ** (p * (STEPS - 1)) >= DIVERGENCE_MAGNITUDE_MIN)
+    c = -c if negative else c
+    v = classify(_geometric_probe(lambda k: c * 2.0 ** (p * k)))
+    assert v == VerticalTangent(sign=1 if c > 0 else -1)
 
 
 class TestInvariants:

@@ -86,6 +86,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(parse("x"), parse("1"), IV, 1)
 
+    @pytest.mark.parametrize("text,boundary", [("sqrt(x-0.3)", 0.3), ("x^1.5", -1e-12)])
+    def test_undefined_region_is_noted_at_its_boundary_only(self, text, boundary):
+        # the grid node next to the flip lies inside the undefined region
+        # (0.2998046875 and -0.00048828125 on the default grid): no note
+        notes = analyze(text, IV).interval_notes
+        assert [(n.x, n.undefined_side) for n in notes] == [(boundary, "left")]
+
     def test_sorted_and_deduplicated(self):
         f = parse("x")
         fp = parse("1/((x-0.25)*(x+0.5))")
