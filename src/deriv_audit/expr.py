@@ -15,7 +15,6 @@ import enum
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Callable, NamedTuple
@@ -46,26 +45,8 @@ class Expr:
         return format_expr(self)
 
     def __repr__(self) -> str:
-        """The dataclass repr, as in `Add(left=Variable(), right=Constant(value=1.0))`.
-        Over post_order, a node's text is a list of strings and of its
-        operands' lists, shared, not copied; one stack then flattens it."""
-        texts: dict[int, list] = {}  # by id, as in __hash__
-        for node, _ in post_order(self):
-            text: list = [type(node).__qualname__, "("]
-            for k, field in enumerate(fields(node)):
-                v = getattr(node, field.name)
-                text += [", " * (k > 0), field.name, "=",
-                         texts[id(v)] if isinstance(v, Expr) else repr(v)]
-            texts[id(node)] = [*text, ")"]
-        out: list[str] = []
-        stack = [texts[id(self)]]
-        while stack:
-            text = stack.pop()
-            if isinstance(text, str):
-                out.append(text)
-            else:
-                stack += reversed(text)
-        return "".join(out)
+        """The dataclass repr, as in `Add(left=Variable(), right=Constant(value=1.0))`."""
+        return _emit(self, _repr_pieces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
@@ -167,7 +148,7 @@ def children(e: Expr) -> tuple[Expr, ...]:
 def post_order(e: Expr) -> list[tuple[Expr, tuple[Expr, ...]]]:
     """(node, operands) for each distinct node of e, leaves included, each
     after its operands, left to right: the one walk over a tree, for
-    lowering, differentiating, simplifying, formatting and hashing, on an
+    lowering, differentiating, simplifying and hashing, on an
     explicit stack, so depth is unbounded."""
     order = []
     seen = set()
@@ -200,14 +181,6 @@ class EvalOutcome:
 
     value: float | None = None
     reason: UndefinedReason | None = None
-
-    @classmethod
-    def of(cls, value: float) -> "EvalOutcome":
-        return cls(value=value)
-
-    @classmethod
-    def undefined(cls, reason: UndefinedReason) -> "EvalOutcome":
-        return cls(reason=reason)
 
     @property
     def is_defined(self) -> bool:
@@ -632,37 +605,64 @@ def format_number(v: float) -> str:
     return repr(v)
 
 
-def format_expr(e: Expr) -> str:
-    """Render e with minimal parentheses; parse(format_expr(e)) == e.
+def _level(e: Expr) -> int:
+    """The binding level of e's text; see _BINARY."""
+    op = op_of(e)
+    if op in _BINARY:
+        return _BINARY[op][1]
+    # no negative literals in the grammar: "-3" re-parses as a negation
+    return _LEVEL_UNARY if op == "neg" or op == "c" and e.value < 0 else _LEVEL_ATOM
 
-    One loop over post_order(e): a node's text is a list of pieces made
-    from its operands' texts.  Only a node with several parents has its
-    text joined into one string, which its parents take as one piece, so a
-    deep subtree's characters are not copied again at every level above."""
-    order = post_order(e)
-    uses = Counter([id(k) for _, kids in order for k in kids])
-    texts: dict[int, tuple[list[str], int]] = {}  # by id: pieces and binding level
-    for node, kids in order:
-        op = op_of(node)
-        # each operand's pieces, in parentheses where it binds looser than
-        # its place allows; a shared operand's text stays for its other parents
-        args = []
-        for k, lo in zip(kids, _LEAST.get(op, (0,))):
-            i = id(k)
-            pieces, level = texts[i] if uses[i] > 1 else texts.pop(i)
-            args.append(["(", *pieces, ")"] if level < lo else pieces)
-        if op == "c":
-            # no negative literals in the grammar: "-3" re-parses as a negation
-            level = _LEVEL_UNARY if node.value < 0 else _LEVEL_ATOM
-            pieces = [format_number(node.value)]
-        elif op == "x":
-            level, pieces = _LEVEL_ATOM, ["x"]
-        elif op == "neg":
-            level, pieces = _LEVEL_UNARY, ["-", *args[0]]
-        elif op in _BINARY:
-            level, pieces = _BINARY[op][1], [*args[0], op, *args[1]]
+
+def _format_pieces(e: Expr) -> list:
+    op = op_of(e)
+    if op == "c":
+        return [format_number(e.value)]
+    if op == "x":
+        return ["x"]
+    # each operand, in parentheses where it binds looser than its place allows
+    kids, least = children(e), _LEAST.get(op, (0,))
+    a = ["(", kids[0], ")"] if _level(kids[0]) < least[0] else [kids[0]]
+    if op == "neg":
+        return ["-", *a]
+    if op not in _BINARY:
+        return [op + "(", *a, ")"]
+    b = ["(", kids[1], ")"] if _level(kids[1]) < least[1] else [kids[1]]
+    return [*a, op, *b]
+
+
+def _repr_pieces(e: Expr) -> list:
+    text: list = [type(e).__qualname__, "("]
+    for k, field in enumerate(fields(e)):
+        v = getattr(e, field.name)
+        text += [", " * (k > 0), field.name, "=", v if isinstance(v, Expr) else repr(v)]
+    return [*text, ")"]
+
+
+def _emit(e: Expr, pieces: Callable[[Expr], list]) -> str:
+    """e's text, written left to right from one stack; pieces(node) is a
+    node's text as strings and operand nodes.  A node's first text is kept
+    as a span of the output, which its later parents take, joined once,
+    without walking it again: linear in the text's length at any depth."""
+    out: list[str] = []
+    spans: dict[int, tuple[int, int] | str] = {}  # by id: e holds every node
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is tuple:  # (id, start): the end of a node's text
+            spans[item[0]] = item[1], len(out)
+        elif (span := spans.get(i := id(item))) is None:
+            stack.append((i, len(out)))
+            stack += reversed(pieces(item))
         else:
-            level, pieces = _LEVEL_ATOM, [op + "(", *args[0], ")"]
-        i = id(node)
-        texts[i] = (["".join(pieces)] if uses[i] > 1 else pieces), level
-    return "".join(texts[id(e)][0])
+            if type(span) is tuple:
+                span = spans[i] = "".join(out[span[0]:span[1]])
+            out.append(span)
+    return "".join(out)
+
+
+def format_expr(e: Expr) -> str:
+    """Render e with minimal parentheses; parse(format_expr(e)) == e."""
+    return _emit(e, _format_pieces)

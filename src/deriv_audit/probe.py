@@ -118,7 +118,7 @@ def probe(f: Expr | Tape, x0: float) -> QuotientProbe:
     steps = schedule + tuple(-h for h in schedule)  # the right side, then the left
     values = tape.columns([x0 + h for h in steps])[tape.root]
     quotients = tuple(
-        tape.outcome(x0 + h) if fh != fh else EvalOutcome.of(_sat((fh - f0.value) / h))
+        tape.outcome(x0 + h) if fh != fh else EvalOutcome(_sat((fh - f0.value) / h))
         for h, fh in zip(steps, values)
     )
     return QuotientProbe(x0=x0, schedule=schedule, right=quotients[:STEPS],
@@ -133,11 +133,11 @@ class _Side:
     diagnostic: str | None = None
 
 
-def _window(schedule, outcomes) -> list[float]:
-    """Trailing run of defined quotients among steps with h >= WINDOW_MIN_H."""
+def _window(schedule, outcomes, floor: float) -> list[float]:
+    """Trailing run of defined quotients among steps with h >= floor."""
     qs: list[float] = []
     for h, out in zip(schedule, outcomes):
-        if h < WINDOW_MIN_H:
+        if h < floor:
             break
         if out.is_defined:
             qs.append(out.value)
@@ -168,8 +168,8 @@ def _last_defined_value(outcomes) -> float | None:
     return None
 
 
-def _analyze_side(schedule, outcomes, label: str) -> _Side:
-    qs = _window(schedule, outcomes)
+def _analyze_side(schedule, outcomes, label: str, floor: float) -> _Side:
+    qs = _window(schedule, outcomes, floor)
     if len(qs) < MIN_WINDOW:
         return _Side("failed", diagnostic=f"{label} side: insufficient samples")
 
@@ -220,8 +220,10 @@ def _analyze_side(schedule, outcomes, label: str) -> _Side:
 
 def classify(p: QuotientProbe) -> Verdict:
     """Combine the two side classifications into a verdict."""
-    left = _analyze_side(p.schedule, p.left, "left")
-    right = _analyze_side(p.schedule, p.right, "right")
+    # x0 ± h rounds by up to ulp(x0): judge only steps h it moves by at most CONVERGENCE_TOL*h
+    floor = max(WINDOW_MIN_H, math.ulp(p.x0) / CONVERGENCE_TOL)
+    left = _analyze_side(p.schedule, p.left, "left", floor)
+    right = _analyze_side(p.schedule, p.right, "right", floor)
 
     if left.status == "converged" and right.status == "converged":
         merge_tol = max(SIDE_MERGE_TOL, SIDE_MERGE_TOL * max(abs(left.limit), abs(right.limit)))

@@ -22,9 +22,6 @@ __all__ = [
 ]
 
 BOUNDARY_TOL = 1e-12
-# How far to each side we probe when deciding whether an undefined point is
-# isolated; matches the dedup scale.
-ISOLATION_DELTA = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,8 +122,8 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     # snapped hit over bisection residue.
     for group in clusters(holes, float):
         h = min(group, key=lambda v: (len(repr(v)), v))
-        left_x = h - ISOLATION_DELTA
-        right_x = h + ISOLATION_DELTA
+        left_x = h - DEDUP_TOL
+        right_x = h + DEDUP_TOL
         left_undefined = left_x >= iv.lo and tape.value(left_x) is None
         right_undefined = right_x <= iv.hi and tape.value(right_x) is None
 

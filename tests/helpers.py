@@ -271,9 +271,9 @@ def reference_evaluate(e: Expr, x: float) -> EvalOutcome:
 
     value = visit(e, 0)
     if value is not None:
-        return EvalOutcome.of(value)
+        return EvalOutcome(value)
     violations.sort(key=lambda t: (t[0], t[1]))
-    return EvalOutcome.undefined(violations[0][2])
+    return EvalOutcome(reason=violations[0][2])
 
 
 def reference_events(col: list[float]) -> tuple[list[int], ...]:

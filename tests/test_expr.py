@@ -145,6 +145,20 @@ class TestAgainstRecursiveOracles:
         for tree in (e, differentiate(e).simplified):
             assert repr(tree) == reference_repr(tree)
 
+    def test_shared_subtree_in_places_that_parenthesise_it_differently(self):
+        u = Add(X, Constant(1))
+        e = Mul(u, Pow(u, u))
+        assert format_expr(e) == reference_format(e) == "(x+1)*(x+1)^(x+1)"
+        assert repr(e) == reference_repr(e)
+
+    def test_doubling_dag_text_is_exponential_in_its_nodes(self):
+        u = X
+        for _ in range(16):
+            u = Add(u, u)  # 17 distinct nodes, 2^16 leaves in the text
+        assert format_expr(u) == reference_format(u)
+        assert format_expr(u).count("x") == 2**16
+        assert repr(u) == reference_repr(u)
+
     def test_repr_is_the_dataclass_text(self):
         assert repr(parse("sin(x)+1")) == (
             "Add(left=Func(name='sin', arg=Variable()), right=Constant(value=1.0))")

@@ -38,7 +38,7 @@ def _scalar_probe(f, x0):
 
     def quotient(h):
         fh = tape.outcome(x0 + h)
-        return fh if not fh.is_defined else EvalOutcome.of(_sat((fh.value - f0) / h))
+        return fh if not fh.is_defined else EvalOutcome(_sat((fh.value - f0) / h))
 
     return QuotientProbe(x0=x0, schedule=schedule, right=tuple(quotient(h) for h in schedule),
                          left=tuple(quotient(-h) for h in schedule))
@@ -175,17 +175,17 @@ class TestClassify:
 
     def test_oscillation_is_never_a_definite_verdict(self):
         schedule = tuple(0.1 * 0.5**k for k in range(40))
-        bounded = tuple(EvalOutcome.of(math.sin(3.0 / h)) for h in schedule)
+        bounded = tuple(EvalOutcome(math.sin(3.0 / h)) for h in schedule)
         p = QuotientProbe(x0=0.0, schedule=schedule, right=bounded, left=bounded)
         assert isinstance(classify(p), Inconclusive)
-        unbounded = tuple(EvalOutcome.of(math.sin(3.0 / h) / h) for h in schedule)
+        unbounded = tuple(EvalOutcome(math.sin(3.0 / h) / h) for h in schedule)
         p = QuotientProbe(x0=0.0, schedule=schedule, right=unbounded, left=unbounded)
         assert isinstance(classify(p), Inconclusive)
 
     def test_mixed_sides_are_inconclusive(self):
         schedule = tuple(0.1 * 0.5**k for k in range(40))
-        diverging = tuple(EvalOutcome.of(1.0 / h) for h in schedule)
-        converging = tuple(EvalOutcome.of(2.0 + h) for h in schedule)
+        diverging = tuple(EvalOutcome(1.0 / h) for h in schedule)
+        converging = tuple(EvalOutcome(2.0 + h) for h in schedule)
         p = QuotientProbe(x0=0.0, schedule=schedule, right=diverging, left=converging)
         v = classify(p)
         assert isinstance(v, Inconclusive)
@@ -207,7 +207,7 @@ SLOW_ORDERS = [
 def _geometric_probe(q):
     """Both sides sampled from q(k), the quotient at step k."""
     schedule = tuple(H0 * RATIO**k for k in range(STEPS))
-    side = tuple(EvalOutcome.of(q(k)) for k in range(STEPS))
+    side = tuple(EvalOutcome(q(k)) for k in range(STEPS))
     return QuotientProbe(x0=0.0, schedule=schedule, right=side, left=side)
 
 
@@ -246,6 +246,26 @@ class TestSlowConvergence:
         assert not isinstance(v, Corner)
         if isinstance(v, Differentiable):
             assert abs(v.value) <= 1e-6
+
+
+class TestLargeX0:
+    """x0 + h rounds by up to ulp(x0), which the quotient divides by h."""
+
+    @pytest.mark.parametrize("text, x0", [
+        ("x", 1e9), ("x^3", 1e12), ("x", 1e308),
+        ("cbrt(x-1e9)", 1e9),  # a vertical tangent at x0
+    ])
+    def test_rounded_steps_give_no_slope(self, text, x0):
+        assert not isinstance(classify(probe(parse(text), x0)), Differentiable)
+
+    def test_slope_of_x_at_1e5(self):
+        v = classify(probe(parse("x"), 1e5))
+        assert isinstance(v, Differentiable) and abs(v.value - 1.0) <= 1e-6
+
+    def test_slope_of_exp_at_700(self):
+        v = classify(probe(parse("exp(x)"), 700.0))
+        assert isinstance(v, Differentiable)
+        assert abs(v.value - math.exp(700.0)) <= 1e-6 * math.exp(700.0)
 
 
 @settings(max_examples=200, deadline=None)
