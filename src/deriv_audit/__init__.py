@@ -7,24 +7,24 @@ from .expr import (
     parse,
 )
 from .derivative import DerivativeResult, differentiate, simplify
-from .scan import CandidatePoint, ScanResult, scan_detailed
+from .scan import ScanResult, scan_detailed
 from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, QuotientProbe, Verdict,
     VerticalTangent, classify, probe,
 )
 from .tangents import Provenance, TangentPoint
-from .report import AnalysisReport, analyze, audit_point, emit_plot_data
+from .report import AnalysisReport, PointAudit, analyze, audit_point, emit_plot_data
 
 __all__ = [
     "Add", "Constant", "Div", "EvalOutcome", "Expr", "Func", "Interval",
     "Mul", "Neg", "ParseError", "Pow", "Sub", "UndefinedReason", "Variable",
     "X", "evaluate", "format_expr", "parse",
     "DerivativeResult", "differentiate", "simplify",
-    "CandidatePoint", "ScanResult", "scan_detailed",
+    "ScanResult", "scan_detailed",
     "Corner", "Cusp", "Differentiable", "Inconclusive", "QuotientProbe",
     "Verdict", "VerticalTangent", "classify", "probe",
     "Provenance", "TangentPoint",
-    "AnalysisReport", "analyze", "audit_point", "emit_plot_data",
+    "AnalysisReport", "PointAudit", "analyze", "audit_point", "emit_plot_data",
 ]
 
 __version__ = "0.1.0"

@@ -1,14 +1,14 @@
 """End-to-end analysis pipeline and its text/JSON/CSV renderings.
 
-The pipeline: parse, differentiate, scan for expression holes, probe each
-candidate with the limit definition, then assemble the horizontal-tangent
-answer.  The naive answer (expression roots only) is always reported next to
+The pipeline: parse, differentiate, scan for expression holes, audit each
+hole in the three steps (the classify command audits one point the same
+way), then assemble the horizontal-tangent answer.  The naive answer (expression roots only) is always reported next to
 the corrected one; the difference is exactly the repaired points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .derivative import differentiate
 from .expr import (
@@ -18,14 +18,14 @@ from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, Verdict, VerticalTangent,
     classify, probe,
 )
-from .scan import CandidatePoint, IntervalNote, scan_detailed
+from .scan import IntervalNote, scan_detailed
 from .tangents import (
     DEFAULT_GRID_N, Grid, Provenance, TangentPoint, combine_tangent_points,
     grid_points, scan_roots,
 )
 
 __all__ = [
-    "DerivativePiece", "TraceRecord", "AnalysisReport", "PointAudit",
+    "DerivativePiece", "AnalysisReport", "PointAudit",
     "analyze", "audit_point", "emit_plot_data",
     "render_text", "render_point_text", "to_json_dict", "point_json_dict",
 ]
@@ -40,16 +40,39 @@ class DerivativePiece:
 
 
 @dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One candidate walked through the three audit steps."""
+class PointAudit:
+    """The three audit steps at x0.  Step 1: f's outcome there.  Step 2: f''s
+    outcome there; where it is undefined, its culprit, the smallest undefined
+    subexpression, whose own reason the outcome carries.  Step 3: the verdict
+    of the limit definition, None when step 1 already dismissed the point."""
 
+    input_text: str
     x0: float
-    function_defined: bool
-    function_value: float | None = None
-    function_reason: str | None = None
-    culprit: str | None = None
-    reason: str | None = None
-    verdict: Verdict | None = None
+    function_outcome: EvalOutcome
+    derivative_text: str
+    derivative_outcome: EvalOutcome
+    culprit: str | None
+    verdict: Verdict | None
+
+
+def _audit(input_text: str, derivative_text: str, f_tape: Tape, fp_tape: Tape,
+           x0: float) -> PointAudit:
+    """The three steps at x0 for f and f', lowered to f_tape and fp_tape."""
+    f_out = f_tape.outcome(x0)
+    fp_value, culprit, reason = fp_tape.value(x0), None, None
+    if fp_value is None:
+        node, reason = fp_tape.culprit(x0)
+        culprit = format_expr(node)
+    verdict = classify(probe(f_tape, x0)) if f_out.is_defined else None
+    return PointAudit(input_text, x0, f_out, derivative_text,
+                      EvalOutcome(fp_value, reason), culprit, verdict)
+
+
+def audit_point(input_text: str, x0: float) -> PointAudit:
+    """The three audit steps at x0 (the classify command)."""
+    f = parse(input_text)
+    fp = differentiate(f).simplified
+    return _audit(input_text, format_expr(fp), lower(f), lower(fp), x0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,10 +81,10 @@ class AnalysisReport:
     interval: Interval
     derivative_text: str
     corrected_derivative: tuple[DerivativePiece, ...]
-    candidates: tuple[tuple[CandidatePoint, Verdict], ...]
+    candidates: tuple[tuple[PointAudit, Verdict], ...]
     tangents: tuple[TangentPoint, ...]
     naive_tangents: tuple[float, ...]
-    methodology_trace: tuple[TraceRecord, ...]
+    methodology_trace: tuple[PointAudit, ...]
     unconfirmed_roots: tuple[float, ...]
     interval_notes: tuple[IntervalNote, ...]
     # the lowered input and the grid's tape of its simplified derivative
@@ -81,19 +104,19 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
     grid = Grid(fp, iv, grid_n)  # the one grid pass both scans read
     root_scan = scan_roots(grid)
     scanned = scan_detailed(f_tape, grid)
-    candidate_verdicts = tuple(
-        (cand, classify(probe(f_tape, cand.x0))) for cand in scanned.candidates
+    # every isolated hole, ascending, audited; those past step 1 are candidates
+    trace = tuple(
+        _audit(input_text, derivative_text, f_tape, grid.tape, x0)
+        for x0 in sorted(scanned.candidates + scanned.dismissed)
     )
+    candidate_verdicts = tuple((a, a.verdict) for a in trace if a.verdict is not None)
     tangents = tuple(combine_tangent_points(grid.tape, root_scan.roots, candidate_verdicts))
-
-    pieces = _corrected_pieces(derivative_text, candidate_verdicts)
-    trace = _methodology_trace(candidate_verdicts, scanned.dismissed)
 
     return AnalysisReport(
         input_text=input_text,
         interval=iv,
         derivative_text=derivative_text,
-        corrected_derivative=pieces,
+        corrected_derivative=_corrected_pieces(derivative_text, candidate_verdicts),
         candidates=candidate_verdicts,
         tangents=tangents,
         naive_tangents=root_scan.roots,
@@ -125,68 +148,6 @@ def _corrected_pieces(derivative_text, candidate_verdicts) -> tuple[DerivativePi
     return tuple(pieces)
 
 
-def _methodology_trace(candidate_verdicts, dismissed) -> tuple[TraceRecord, ...]:
-    records = [
-        TraceRecord(
-            x0=cand.x0,
-            function_defined=True,
-            function_value=cand.function_value,
-            culprit=format_expr(cand.culprit),
-            reason=cand.reason.value,
-            verdict=verdict,
-        )
-        for cand, verdict in candidate_verdicts
-    ]
-    records.extend(
-        TraceRecord(
-            x0=d.x0,
-            function_defined=False,
-            function_reason=d.function_reason.value,
-            reason=d.derivative_reason.value,
-        )
-        for d in dismissed
-    )
-    records.sort(key=lambda r: r.x0)
-    return tuple(records)
-
-
-# --------------------------------------------------------------------------
-# point audit (the classify command: the three steps at one location)
-
-
-@dataclass(frozen=True, slots=True)
-class PointAudit:
-    input_text: str
-    x0: float
-    function_outcome: EvalOutcome
-    derivative_text: str
-    derivative_outcome: EvalOutcome
-    culprit: str | None
-    verdict: Verdict | None  # None when step 1 already dismissed the point
-
-
-def audit_point(input_text: str, x0: float) -> PointAudit:
-    f = parse(input_text)
-    fp = differentiate(f).simplified
-    f_tape = lower(f)
-    f_out = f_tape.outcome(x0)
-    fp_tape = lower(fp)
-    fp_out = fp_tape.outcome(x0)
-    culprit = None
-    if not fp_out.is_defined:
-        culprit = format_expr(fp_tape.culprit(x0)[0])
-    verdict = classify(probe(f_tape, x0)) if f_out.is_defined else None
-    return PointAudit(
-        input_text=input_text,
-        x0=x0,
-        function_outcome=f_out,
-        derivative_text=format_expr(fp),
-        derivative_outcome=fp_out,
-        culprit=culprit,
-        verdict=verdict,
-    )
-
-
 # --------------------------------------------------------------------------
 # plot data
 
@@ -212,16 +173,18 @@ def emit_plot_data(f_tape: Tape, fp_tape: Tape, iv: Interval, n: int, path) -> N
 
 
 def _verdict_dict(v: Verdict) -> dict:
-    if isinstance(v, Differentiable):
-        return {"kind": v.kind, "value": v.value}
-    if isinstance(v, VerticalTangent):
-        return {"kind": v.kind, "sign": v.sign}
-    if isinstance(v, Corner):
-        return {"kind": v.kind, "left_slope": v.left_slope, "right_slope": v.right_slope}
-    if isinstance(v, Cusp):
-        return {"kind": v.kind}
-    assert isinstance(v, Inconclusive)
-    return {"kind": v.kind, "diagnostic": v.diagnostic}
+    return {"kind": v.kind, **{f.name: getattr(v, f.name) for f in fields(v)}}
+
+
+def _step1_dict(a: PointAudit) -> dict:
+    out = a.function_outcome
+    if out.is_defined:
+        return {"defined": True, "value": out.value}
+    return {"defined": False, "reason": out.reason.value}
+
+
+def _step3_dict(a: PointAudit) -> dict | None:
+    return _verdict_dict(a.verdict) if a.verdict is not None else None
 
 
 def to_json_dict(report: AnalysisReport) -> dict:
@@ -236,13 +199,13 @@ def to_json_dict(report: AnalysisReport) -> dict:
         ],
         "candidates": [
             {
-                "x": cand.x0,
-                "function_value": cand.function_value,
-                "reason": cand.reason.value,
-                "culprit": format_expr(cand.culprit),
+                "x": a.x0,
+                "function_value": a.function_outcome.value,
+                "reason": a.derivative_outcome.reason.value,
+                "culprit": a.culprit,
                 "verdict": _verdict_dict(verdict),
             }
-            for cand, verdict in report.candidates
+            for a, verdict in report.candidates
         ],
         "corrected_derivative": [
             {
@@ -254,15 +217,14 @@ def to_json_dict(report: AnalysisReport) -> dict:
         ],
         "methodology_trace": [
             {
-                "x": r.x0,
-                "step1": {
-                    "defined": r.function_defined,
-                    **({"value": r.function_value} if r.function_defined else {"reason": r.function_reason}),
-                },
-                "step2": {"culprit": r.culprit, "reason": r.reason},
-                "step3": _verdict_dict(r.verdict) if r.verdict is not None else None,
+                "x": a.x0,
+                "step1": _step1_dict(a),
+                # past step 1 only is a culprit to blame
+                "step2": {"culprit": a.culprit if a.function_outcome.is_defined else None,
+                          "reason": a.derivative_outcome.reason.value},
+                "step3": _step3_dict(a),
             }
-            for r in report.methodology_trace
+            for a in report.methodology_trace
         ],
         "unconfirmed_roots": list(report.unconfirmed_roots),
         "interval_notes": [
@@ -273,11 +235,6 @@ def to_json_dict(report: AnalysisReport) -> dict:
 
 
 def point_json_dict(audit: PointAudit) -> dict:
-    step1 = {"defined": audit.function_outcome.is_defined}
-    if audit.function_outcome.is_defined:
-        step1["value"] = audit.function_outcome.value
-    else:
-        step1["reason"] = audit.function_outcome.reason.value
     step2 = {
         "derivative": audit.derivative_text,
         "defined": audit.derivative_outcome.is_defined,
@@ -290,9 +247,9 @@ def point_json_dict(audit: PointAudit) -> dict:
     return {
         "input": audit.input_text,
         "x": audit.x0,
-        "step1": step1,
+        "step1": _step1_dict(audit),
         "step2": step2,
-        "step3": _verdict_dict(audit.verdict) if audit.verdict is not None else None,
+        "step3": _step3_dict(audit),
     }
 
 
@@ -317,6 +274,17 @@ def _short(v: float) -> str:
     return format_number(v) if v == int(v) and abs(v) < 1e16 else f"{v:.6g}"
 
 
+def _step1_text(a: PointAudit, where: str = "") -> str:
+    out = a.function_outcome
+    if out.is_defined:
+        return f"step 1: f({_short(a.x0)}) = {_short(out.value)} (defined)"
+    return f"step 1: f undefined{where} ({out.reason.value}); not differentiable"
+
+
+def _step3_text(a: PointAudit) -> str:
+    return f"step 3: by definition of the derivative: {_describe_verdict(a.verdict)}"
+
+
 def _fmt_points(xs) -> str:
     if not xs:
         return "(none)"
@@ -336,14 +304,12 @@ def render_text(report: AnalysisReport) -> str:
     lines.append("")
     if report.methodology_trace:
         lines.append("points where the derivative expression is undefined:")
-        for r in report.methodology_trace:
-            lines.append(f"  x = {_short(r.x0)}")
-            if r.function_defined:
-                lines.append(f"    step 1: f({_short(r.x0)}) = {_short(r.function_value)} (defined)")
-                lines.append(f"    step 2: culprit {r.culprit} ({r.reason})")
-                lines.append(f"    step 3: by definition of the derivative: {_describe_verdict(r.verdict)}")
-            else:
-                lines.append(f"    step 1: f undefined ({r.function_reason}); not differentiable")
+        for a in report.methodology_trace:
+            lines.append(f"  x = {_short(a.x0)}")
+            lines.append(f"    {_step1_text(a)}")
+            if a.verdict is not None:
+                lines.append(f"    step 2: culprit {a.culprit} ({a.derivative_outcome.reason.value})")
+                lines.append(f"    {_step3_text(a)}")
     else:
         lines.append("points where the derivative expression is undefined: (none)")
     lines.append("")
@@ -380,15 +346,11 @@ def render_text(report: AnalysisReport) -> str:
 
 
 def render_point_text(audit: PointAudit) -> str:
-    lines = [f"f(x) = {audit.input_text}   at x = {_short(audit.x0)}"]
-    if audit.function_outcome.is_defined:
-        lines.append(f"step 1: f({_short(audit.x0)}) = {_short(audit.function_outcome.value)} (defined)")
-    else:
-        lines.append(
-            f"step 1: f undefined at x = {_short(audit.x0)}"
-            f" ({audit.function_outcome.reason.value}); not differentiable"
-        )
-    lines.append(f"step 2: f'(x) = {audit.derivative_text}")
+    lines = [
+        f"f(x) = {audit.input_text}   at x = {_short(audit.x0)}",
+        _step1_text(audit, f" at x = {_short(audit.x0)}"),
+        f"step 2: f'(x) = {audit.derivative_text}",
+    ]
     if audit.derivative_outcome.is_defined:
         lines.append(f"        defined here, value {_short(audit.derivative_outcome.value)}")
     else:
@@ -397,5 +359,5 @@ def render_point_text(audit: PointAudit) -> str:
             f" culprit {audit.culprit}"
         )
     if audit.verdict is not None:
-        lines.append(f"step 3: by definition of the derivative: {_describe_verdict(audit.verdict)}")
+        lines.append(_step3_text(audit))
     return "\n".join(lines) + "\n"

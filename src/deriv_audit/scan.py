@@ -4,8 +4,9 @@ is not.
 Detection is numeric: grid sampling of the derivative expression's
 definedness, bisection of every defined/undefined boundary, plus a root scan
 of each domain-sensitive subexpression (denominators, sqrt and ln
-arguments).  Isolated holes become candidate points; undefined regions are
-reported as interval notes at their boundary rather than as candidates.
+arguments).  Isolated holes are split by step 1, whether f is defined there;
+undefined regions are reported as interval notes at their boundary rather
+than as holes.
 """
 
 from __future__ import annotations
@@ -13,25 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import Expr, Tape, UndefinedReason, lower
+from .expr import Tape, UndefinedReason, lower
 from .tangents import DEDUP_TOL, Grid, clusters, column_events, column_roots
 
-__all__ = [
-    "CandidatePoint", "IntervalNote", "DismissedPoint", "ScanResult",
-    "scan_detailed",
-]
+__all__ = ["IntervalNote", "ScanResult", "scan_detailed"]
 
 BOUNDARY_TOL = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class CandidatePoint:
-    """A location where f is defined but the derivative expression is not."""
-
-    x0: float
-    culprit: Expr
-    reason: UndefinedReason
-    function_value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,19 +32,13 @@ class IntervalNote:
 
 
 @dataclass(frozen=True, slots=True)
-class DismissedPoint:
-    """Hole of the derivative expression where f itself is undefined."""
-
-    x0: float
-    function_reason: UndefinedReason
-    derivative_reason: UndefinedReason
-
-
-@dataclass(frozen=True, slots=True)
 class ScanResult:
-    candidates: tuple[CandidatePoint, ...]
+    """Isolated holes, ascending, split by step 1: f defined there
+    (candidates) or not (dismissed); and the undefined regions' notes."""
+
+    candidates: tuple[float, ...]
     interval_notes: tuple[IntervalNote, ...]
-    dismissed: tuple[DismissedPoint, ...]
+    dismissed: tuple[float, ...]
 
 
 def _snap_values(r: float) -> list[float]:
@@ -114,16 +96,18 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     for r in {(r, math.copysign(1.0, r)): r for r in seeds}.values():
         holes += [s for s in _snap_values(r) if iv.lo <= s <= iv.hi and tape.value(s) is None]
 
-    candidates: list[CandidatePoint] = []
+    candidates: list[float] = []
     notes: list[IntervalNote] = []
-    dismissed: list[DismissedPoint] = []
+    dismissed: list[float] = []
 
     # One hole per cluster: the shortest decimal representative, a grid or
-    # snapped hit over bisection residue.
+    # snapped hit over bisection residue.  Its neighbours are at least an
+    # ulp away: from |h| >= 2^24, h +- DEDUP_TOL rounds to h itself.
     for group in clusters(holes, float):
         h = min(group, key=lambda v: (len(repr(v)), v))
-        left_x = h - DEDUP_TOL
-        right_x = h + DEDUP_TOL
+        step = max(DEDUP_TOL, math.ulp(h))
+        left_x = h - step
+        right_x = h + step
         left_undefined = left_x >= iv.lo and tape.value(left_x) is None
         right_undefined = right_x <= iv.hi and tape.value(right_x) is None
 
@@ -136,21 +120,10 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
                 side, inside_x = "right", right_x
             reason = tape.outcome(inside_x).reason or tape.outcome(h).reason
             notes.append(IntervalNote(x=h, undefined_side=side, reason=reason))
-            continue
-
-        f_out = f_tape.outcome(h)
-        if not f_out.is_defined:
-            dismissed.append(DismissedPoint(
-                x0=h,
-                function_reason=f_out.reason,
-                derivative_reason=tape.outcome(h).reason,
-            ))
-            continue
-
-        culprit, reason = tape.culprit(h)
-        candidates.append(CandidatePoint(
-            x0=h, culprit=culprit, reason=reason, function_value=f_out.value,
-        ))
+        elif f_tape.value(h) is not None:
+            candidates.append(h)
+        else:
+            dismissed.append(h)
 
     return ScanResult(
         candidates=tuple(candidates),

@@ -11,14 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from deriv_audit.cli import _build_parser, main
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Interval, ParseError, format_expr, lower, parse
-from deriv_audit.probe import Differentiable, VerticalTangent
+from deriv_audit.expr import Interval, ParseError, UndefinedReason, format_expr, lower, parse
+from deriv_audit.probe import (
+    Corner, Cusp, Differentiable, Inconclusive, VerticalTangent,
+)
 from deriv_audit.report import (
-    analyze, audit_point, emit_plot_data, point_json_dict, render_text,
-    to_json_dict,
+    _verdict_dict, analyze, audit_point, emit_plot_data, point_json_dict,
+    render_point_text, render_text, to_json_dict,
 )
 from deriv_audit.tangents import Provenance
 from helpers import random_expr
+from test_golden import CASES
 
 IV = Interval(-1, 1)
 
@@ -77,7 +80,7 @@ class TestAnalyze:
         rep = analyze("cbrt(x)*sin(x^2)", IV)
         assert len(rep.methodology_trace) == 1
         r = rep.methodology_trace[0]
-        assert r.function_defined and r.function_value == 0.0
+        assert r.function_outcome.is_defined and r.function_outcome.value == 0.0
         assert "cbrt" in r.culprit
         assert isinstance(r.verdict, Differentiable)
 
@@ -85,9 +88,15 @@ class TestAnalyze:
         rep = analyze("1/x", IV)
         assert len(rep.methodology_trace) == 1
         r = rep.methodology_trace[0]
-        assert not r.function_defined
-        assert r.function_reason == "division by zero"
+        assert not r.function_outcome.is_defined
+        assert r.function_outcome.reason is UndefinedReason.DIV_BY_ZERO
         assert r.verdict is None
+        # the JSON blames no culprit past a failed step 1, as the text does
+        step = to_json_dict(rep)["methodology_trace"][0]
+        assert step["step1"] == {"defined": False, "reason": "division by zero"}
+        assert step["step2"] == {"culprit": None, "reason": "division by zero"}
+        assert step["step3"] is None
+        assert "step 2" not in render_text(rep)
 
     def test_parse_error_propagates(self):
         with pytest.raises(ParseError):
@@ -138,6 +147,52 @@ class TestPointAudit:
         d = point_json_dict(audit)
         assert d["step1"]["defined"] is False
         assert d["step3"] is None
+
+    def test_step_two_reason_is_the_culprits_own(self):
+        # the shallowest violation of f' at -1 is ln(x); the culprit, the
+        # leftmost smallest undefined subexpression, is sqrt(x)
+        audit = audit_point("x*sqrt(sqrt(x))+x*ln(x)", -1.0)
+        assert audit.culprit == "sqrt(x)"
+        assert audit.derivative_outcome.reason is UndefinedReason.EVEN_ROOT_OF_NEGATIVE
+        step2 = point_json_dict(audit)["step2"]
+        assert (step2["culprit"], step2["reason"]) == ("sqrt(x)", "even root of a negative number")
+        assert "undefined here (even root of a negative number); culprit sqrt(x)" in (
+            render_point_text(audit))
+
+
+def _same_steps(text, iv, grid_n=None):
+    """Each trace record of analyze is the audit_point of its x0: the same
+    step 1, culprit, step-2 reason and verdict."""
+    rep = analyze(text, iv) if grid_n is None else analyze(text, iv, grid_n=grid_n)
+    for r in rep.methodology_trace:
+        a = audit_point(text, r.x0)
+        assert (r.function_outcome, r.culprit, r.derivative_outcome, r.verdict) == (
+            a.function_outcome, a.culprit, a.derivative_outcome, a.verdict), (text, r.x0)
+    return len(rep.methodology_trace)
+
+
+def test_trace_records_are_point_audits_on_golden_inputs():
+    audited = sum(_same_steps(text, Interval(lo, hi)) for _, text, lo, hi in CASES)
+    assert audited >= len(CASES) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
+def test_trace_records_are_point_audits(seed, depth):
+    _same_steps(format_expr(random_expr(random.Random(seed), depth)), IV, grid_n=512)
+
+
+@pytest.mark.parametrize("verdict,expected", [
+    (Differentiable(value=0.5), {"kind": "differentiable", "value": 0.5}),
+    (VerticalTangent(sign=-1), {"kind": "vertical_tangent", "sign": -1}),
+    (Corner(left_slope=-1.0, right_slope=1.0),
+     {"kind": "corner", "left_slope": -1.0, "right_slope": 1.0}),
+    (Cusp(), {"kind": "cusp"}),
+    (Inconclusive(diagnostic="why"), {"kind": "inconclusive", "diagnostic": "why"}),
+])
+def test_verdict_json_keys_in_order(verdict, expected):
+    got = _verdict_dict(verdict)
+    assert list(got.items()) == list(expected.items())
 
 
 def _plot(text, n, path):

@@ -7,7 +7,8 @@ from deriv_audit.derivative import differentiate
 from deriv_audit.expr import (
     Constant, Func, Interval, Pow, Tape, UndefinedReason, X, evaluate, format_expr, lower, parse,
 )
-from deriv_audit.report import analyze
+from deriv_audit.probe import Inconclusive
+from deriv_audit.report import analyze, audit_point
 from deriv_audit.scan import scan_detailed
 from deriv_audit.tangents import Grid, column_events
 from helpers import chain
@@ -27,14 +28,12 @@ class TestScan:
     def test_worked_example(self):
         f = parse("cbrt(x)*sin(x^2)")
         fp = _fp("cbrt(x)*sin(x^2)")
-        points = scan(f, fp, IV, 1000)
-        assert len(points) == 1
-        c = points[0]
-        assert c.x0 == 0.0
-        assert c.reason is UndefinedReason.DIV_BY_ZERO
-        assert c.function_value == 0.0
-        assert "cbrt(x^2)" in format_expr(c.culprit)
-        assert not evaluate(c.culprit, 0.0).is_defined
+        assert scan(f, fp, IV, 1000) == [0.0]
+        a = audit_point("cbrt(x)*sin(x^2)", 0.0)
+        assert a.derivative_outcome.reason is UndefinedReason.DIV_BY_ZERO
+        assert a.function_outcome.value == 0.0
+        assert "cbrt(x^2)" in a.culprit
+        assert not evaluate(parse(a.culprit), 0.0).is_defined
 
     def test_everywhere_defined_derivative(self):
         assert scan(parse("x^2"), parse("2*x"), IV, 1000) == []
@@ -42,9 +41,9 @@ class TestScan:
     def test_counterexample(self):
         f = parse("cbrt(x)*cos(x^2)")
         fp = _fp("cbrt(x)*cos(x^2)")
-        points = scan(f, fp, IV, 1000)
-        assert [c.x0 for c in points] == [0.0]
-        assert points[0].reason is UndefinedReason.DIV_BY_ZERO
+        assert scan(f, fp, IV, 1000) == [0.0]
+        a = audit_point("cbrt(x)*cos(x^2)", 0.0)
+        assert a.derivative_outcome.reason is UndefinedReason.DIV_BY_ZERO
 
     def test_hole_off_grid_found_by_denominator_roots(self):
         # 0.3 is not a node of a 1000-step grid over [-1, 1]
@@ -52,18 +51,16 @@ class TestScan:
         fp = parse("1/(x-0.3)")
         points = scan(f, fp, IV, 1000)
         assert len(points) == 1
-        assert points[0].x0 == pytest.approx(0.3, abs=1e-9)
-        assert not evaluate(fp, points[0].x0).is_defined
+        assert points[0] == pytest.approx(0.3, abs=1e-9)
+        assert not evaluate(fp, points[0]).is_defined
 
     def test_dismissed_when_function_also_undefined(self):
         f = parse("1/x")
         fp = _fp("1/x")
         result = scan_detailed(lower(f), Grid(fp, IV, 1000))
         assert result.candidates == ()
-        assert len(result.dismissed) == 1
-        d = result.dismissed[0]
-        assert d.x0 == 0.0
-        assert d.function_reason is UndefinedReason.DIV_BY_ZERO
+        assert result.dismissed == (0.0,)
+        assert evaluate(f, 0.0).reason is UndefinedReason.DIV_BY_ZERO
 
     def test_interval_undefinedness_is_a_note_not_a_candidate(self):
         f = parse("sqrt(x)")
@@ -78,8 +75,7 @@ class TestScan:
     def test_single_point_interval(self):
         f = parse("abs(x)")
         fp = _fp("abs(x)")
-        points = scan(f, fp, Interval(0, 0), 1000)
-        assert [c.x0 for c in points] == [0.0]
+        assert scan(f, fp, Interval(0, 0), 1000) == [0.0]
         assert scan(f, fp, Interval(0.5, 0.5), 1000) == []
 
     def test_grid_n_validation(self):
@@ -93,11 +89,21 @@ class TestScan:
         notes = analyze(text, IV).interval_notes
         assert [(n.x, n.undefined_side) for n in notes] == [(boundary, "left")]
 
+    def test_hole_beyond_two_to_the_24_is_a_point(self):
+        # there ulp(1e9) = 1.2e-7 > DEDUP_TOL, so 1e9 +- DEDUP_TOL is 1e9
+        rep = analyze("cbrt(x-1e9)", Interval(999999999, 1000000001))
+        assert rep.interval_notes == ()
+        (a, verdict), = rep.candidates
+        assert a.x0 == 1e9 and a.function_outcome.value == 0.0
+        assert a.culprit == "1/(3*cbrt((x-1000000000)^2))"
+        assert isinstance(verdict, Inconclusive)  # the probe's steps stop at ulp(x0)
+        notes = analyze("sqrt(x-1e9)", Interval(999999999, 1000000001)).interval_notes
+        assert [(n.x, n.undefined_side) for n in notes] == [(1e9, "left")]
+
     def test_sorted_and_deduplicated(self):
         f = parse("x")
         fp = parse("1/((x-0.25)*(x+0.5))")
-        points = scan(f, fp, IV, 1000)
-        xs = [c.x0 for c in points]
+        xs = scan(f, fp, IV, 1000)
         assert xs == sorted(xs)
         assert xs == pytest.approx([-0.5, 0.25], abs=1e-9)
 
@@ -137,7 +143,7 @@ class TestWork:
             with monkeypatch.context() as patch:
                 lowered, runs = self._count_calls(patch)
                 result = scan_detailed(f_tape, grid)
-            assert [c.x0 for c in result.candidates] == [0.0]
+            assert result.candidates == (0.0,)
             scans.append((len(lowered), runs[0]))
         assert scans[0][0] == 0 and scans[0] == scans[1] == scans[2]
 
@@ -171,18 +177,21 @@ class TestSoundness:
         for text in self.CORPUS:
             f = parse(text)
             fp = differentiate(f).simplified
-            for c in scan(f, fp, IV, 1000):
-                assert evaluate(f, c.x0).is_defined
-                assert not evaluate(fp, c.x0).is_defined
-                assert not evaluate(c.culprit, c.x0).is_defined
-                assert evaluate(fp, c.x0).reason is not None
+            for x0 in scan(f, fp, IV, 1000):
+                assert evaluate(f, x0).is_defined
+                assert not evaluate(fp, x0).is_defined
+                a = audit_point(text, x0)
+                culprit = evaluate(parse(a.culprit), x0)
+                assert not culprit.is_defined
+                # step 2's reason is the culprit's own
+                assert a.derivative_outcome.reason is culprit.reason is not None
 
     def test_grid_density_monotonicity(self):
         for text in self.CORPUS:
             f = parse(text)
             fp = differentiate(f).simplified
-            coarse = [c.x0 for c in scan(f, fp, IV, 1000)]
-            fine = [c.x0 for c in scan(f, fp, IV, 10000)]
+            coarse = scan(f, fp, IV, 1000)
+            fine = scan(f, fp, IV, 10000)
             for x in coarse:
                 assert any(abs(x - y) <= 1e-9 for y in fine), (text, x, fine)
 

@@ -40,7 +40,7 @@ def _points(e):
     """Grid nodes, dyadics, and the holes of e itself."""
     xs = grid_points(IV, 16) + [k / 64.0 for k in range(-130, 131, 7)]
     scanned = scan_detailed(lower(e), Grid(e, IV, 64))
-    xs += [c.x0 for c in scanned.candidates] + [d.x0 for d in scanned.dismissed]
+    xs += [*scanned.candidates, *scanned.dismissed]
     xs += [n.x for n in scanned.interval_notes]
     return xs
 
