@@ -250,6 +250,7 @@ class Op(NamedTuple):
     value: Callable | None  # at defined operands; None where undefined
     reason: UndefinedReason | None  # why it can be undefined; None if total
     column: Callable | None  # see _column; None where only `value` is exact
+    interval: Callable | None  # see Tape.enclose
 
 
 # Column forms.  Inside a Tape.columns sweep NaN marks an undefined value:
@@ -285,39 +286,143 @@ def _pow_column(u: list[float], v: list[float]) -> list[float] | None:
     return col
 
 
+# Interval forms.  Each maps operand enclosures (lo, hi) to an enclosure of
+# every value `value` gives at operands inside them, or to None where it may
+# be undefined or saturate there.  IEEE arithmetic and sqrt round
+# monotonically, so the results at the ends bound every result between them.
+# libm is only faithful, so its results are widened outward by two ulps.
+# No bound is infinite or NaN: where one would be, the form gives None.
+
+_INF = math.inf
+# Beyond this |x|, sin, cos and tan are bounded without locating their
+# extrema and poles: the rounding of x/pi is then too coarse to trust.
+_TRIG_REACH = 2.0 ** 20
+_TAU = 2.0 * math.pi
+
+
+def _bounded(lo: float, hi: float) -> tuple[float, float] | None:
+    return (lo, hi) if -HUGE <= lo and hi <= HUGE else None
+
+
+def _widened(lo: float, hi: float) -> tuple[float, float] | None:
+    return _bounded(math.nextafter(math.nextafter(lo, -_INF), -_INF),
+                    math.nextafter(math.nextafter(hi, _INF), _INF))
+
+
+def _monotone(fn: Callable) -> Callable:
+    """The interval form of an increasing libm function; None where it
+    overflows or meets a domain error (ln of a non-positive number)."""
+    def form(u):
+        try:
+            return _widened(fn(u[0]), fn(u[1]))
+        except (OverflowError, ValueError):
+            return None
+    return form
+
+
+def _may_hold(a: float, b: float, c: float, period: float) -> bool:
+    """Whether [a, b] may hold a point c + k*period: k is bracketed with a
+    margin far wider than the rounding of (a - c)/period below _TRIG_REACH."""
+    return math.floor((b - c) / period + 1e-9) >= math.ceil((a - c) / period - 1e-9)
+
+
+def _periodic(fn: Callable, peak: float) -> Callable:
+    """The interval form of sin or cos, whose maxima are at peak + 2k*pi
+    and minima at peak + pi + 2k*pi."""
+    def form(u):
+        a, b = u
+        if b - a >= _TAU or max(-a, b) > _TRIG_REACH:
+            return _widened(-1.0, 1.0)
+        lo, hi = sorted((fn(a), fn(b)))
+        if _may_hold(a, b, peak, _TAU):
+            hi = 1.0
+        if _may_hold(a, b, peak + math.pi, _TAU):
+            lo = -1.0
+        return _widened(lo, hi)
+    return form
+
+
+def _tan_interval(u):
+    a, b = u  # increasing between poles, which sit at pi/2 + k*pi
+    if b - a >= math.pi or max(-a, b) > _TRIG_REACH or _may_hold(a, b, 0.5 * math.pi, math.pi):
+        return None
+    return _widened(math.tan(a), math.tan(b))
+
+
+def _mul_interval(u, v):
+    ends = (u[0] * v[0], u[0] * v[1], u[1] * v[0], u[1] * v[1])
+    return _bounded(min(ends), max(ends))
+
+
+def _div_interval(u, v):
+    if v[0] <= 0.0 <= v[1]:
+        return None
+    ends = (u[0] / v[0], u[0] / v[1], u[1] / v[0], u[1] / v[1])
+    return _bounded(min(ends), max(ends))
+
+
+def _pow_interval(u, v):
+    # Only a constant exponent p, see _pow_value: a ^ p is monotone on each
+    # side of 0, and an even power has its least value 0 at 0.
+    a, b = u
+    p = v[0]
+    if p != v[1] or a <= 0.0 <= b and p <= 0.0 or a < 0.0 and not _is_exact_integer(p):
+        return None
+    try:
+        lo, hi = sorted((math.pow(a, p), math.pow(b, p)))
+    except OverflowError:
+        return None
+    if a < 0.0 < b and p % 2.0 == 0.0:
+        lo = 0.0
+    return _widened(lo, hi)
+
+
+def _abs_interval(u):
+    a, b = u
+    if a >= 0.0:
+        return u
+    return (-b, -a) if b <= 0.0 else (0.0, max(-a, b))
+
+
 #: The single definition of each operation, read by the tape, the undefined
 #: reason and the simplifier.  A leaf ("c" a constant, "x" the variable) has
 #: no value function.  A power's reason depends on its operands, see
 #: _pow_value: 0^0 and 0^negative are a division by zero.
 OPS: dict[str, Op] = {
-    "c": Op(None, None, None), "x": Op(None, None, None),
-    "neg": Op(operator.neg, None, lambda u: list(map(operator.neg, u))),
-    "+": Op(lambda u, v: _sat(u + v), None, lambda u, v: _no_inf(list(map(operator.add, u, v)))),
-    "-": Op(lambda u, v: _sat(u - v), None, lambda u, v: _no_inf(list(map(operator.sub, u, v)))),
-    "*": Op(lambda u, v: _sat(u * v), None, lambda u, v: _no_inf(list(map(operator.mul, u, v)))),
+    "c": Op(None, None, None, None), "x": Op(None, None, None, None),
+    "neg": Op(operator.neg, None, lambda u: list(map(operator.neg, u)), lambda u: (-u[1], -u[0])),
+    "+": Op(lambda u, v: _sat(u + v), None, lambda u, v: _no_inf(list(map(operator.add, u, v))),
+            lambda u, v: _bounded(u[0] + v[0], u[1] + v[1])),
+    "-": Op(lambda u, v: _sat(u - v), None, lambda u, v: _no_inf(list(map(operator.sub, u, v))),
+            lambda u, v: _bounded(u[0] - v[1], u[1] - v[0])),
+    "*": Op(lambda u, v: _sat(u * v), None, lambda u, v: _no_inf(list(map(operator.mul, u, v))),
+            _mul_interval),
     "/": Op(lambda u, v: None if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO,
-            _div_column),
-    "^": Op(lambda u, v: _pow_value(u, v)[0], UndefinedReason.POW_NEGATIVE_BASE, _pow_column),
-    "sin": Op(math.sin, None, lambda u: list(map(math.sin, u))),
-    "cos": Op(math.cos, None, lambda u: list(map(math.cos, u))),
-    "exp": Op(_exp, None, lambda u: list(map(math.exp, u))),
+            _div_column, _div_interval),
+    "^": Op(lambda u, v: _pow_value(u, v)[0], UndefinedReason.POW_NEGATIVE_BASE, _pow_column,
+            _pow_interval),
+    "sin": Op(math.sin, None, lambda u: list(map(math.sin, u)), _periodic(math.sin, 0.5 * math.pi)),
+    "cos": Op(math.cos, None, lambda u: list(map(math.cos, u)), _periodic(math.cos, 0.0)),
+    "exp": Op(_exp, None, lambda u: list(map(math.exp, u)), _monotone(math.exp)),
     "cbrt": Op(cbrt, None,  # pow(a, b) is a ** b, as in cbrt
-               lambda u: list(map(math.copysign, map(pow, map(abs, u), repeat(1.0 / 3.0)), u))),
-    "abs": Op(abs, None, lambda u: list(map(abs, u))),
+               lambda u: list(map(math.copysign, map(pow, map(abs, u), repeat(1.0 / 3.0)), u)),
+               _monotone(cbrt)),
+    "abs": Op(abs, None, lambda u: list(map(abs, u)), _abs_interval),
     # tan is undefined only where the argument hits a pole exactly in floats
     "tan": Op(lambda u: None if math.cos(u) == 0.0 else _sat(math.tan(u)),
-              UndefinedReason.TAN_POLE, None),
+              UndefinedReason.TAN_POLE, None, _tan_interval),
     "ln": Op(lambda u: None if u <= 0.0 else math.log(u), UndefinedReason.LOG_NON_POSITIVE,
-             lambda u: list(map(math.log, u))),
+             lambda u: list(map(math.log, u)), _monotone(math.log)),
     "sqrt": Op(lambda u: None if u < 0.0 else math.sqrt(u),
-               UndefinedReason.EVEN_ROOT_OF_NEGATIVE, lambda u: list(map(math.sqrt, u))),
+               UndefinedReason.EVEN_ROOT_OF_NEGATIVE, lambda u: list(map(math.sqrt, u)),
+               lambda u: None if u[0] < 0.0 else (math.sqrt(u[0]), math.sqrt(u[1]))),
 }
 
 
 def _column(op: str, args: tuple[list[float], ...]) -> list[float]:
     """op over the operand columns args, NaN where it is undefined: its
     column form where that is exact, else its value at each point."""
-    fn, _, form = OPS[op]
+    fn, _, form, _ = OPS[op]
     if form is not None:
         try:
             col = form(*args)
@@ -430,6 +535,26 @@ class Tape:
                 if last_read[k] == i and k not in keep:
                     cols[k] = None
         return cols
+
+    def enclose(self, lo: float, hi: float) -> list[tuple[float, float] | None]:
+        """Each slot's enclosure (l, h) of every value it takes at the
+        points of [lo, hi], in one sweep of the operations' interval forms
+        (see OPS), or None where the slot is uncertified: it may be
+        undefined or saturate somewhere there, or it is a ^ whose exponent
+        is not constant, or it reads an uncertified slot.  An enclosure
+        also holds each value that `columns` and `run` compute there."""
+        encs: list[tuple[float, float] | None] = []
+        push = encs.append
+        for op, fn, a, b in self.code:
+            if fn is None:  # a leaf
+                push((lo, hi) if op == "x" else (a, a))
+            elif b is None:
+                u = encs[a]
+                push(None if u is None else OPS[op].interval(u))
+            else:
+                u, v = encs[a], encs[b]
+                push(None if u is None or v is None else OPS[op].interval(u, v))
+        return encs
 
     def domain_slots(self) -> list[int]:
         """Slots whose zeros or sign can make the expression undefined:

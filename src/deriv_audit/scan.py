@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .expr import Tape, UndefinedReason, lower
-from .tangents import DEDUP_TOL, Grid, clusters, column_events, column_roots
+from .tangents import DEDUP_TOL, NO_BAND, Grid, clusters, column_roots
 
 __all__ = ["IntervalNote", "ScanResult", "scan_detailed"]
 
@@ -53,9 +53,25 @@ def _snap_values(r: float) -> list[float]:
 
 def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
     """Undefined-side point within BOUNDARY_TOL of the definedness flip
-    between a defined point a and an undefined point b."""
+    between a defined point a and an undefined point b.  The midpoints it
+    takes while each is defined, as on the way to an undefined grid node,
+    are found first and evaluated in one column; the loop goes on point by
+    point from the first of them that is undefined, if any."""
+    mids = []
+    m = a
+    while abs(b - m) > BOUNDARY_TOL:
+        mid = 0.5 * m + 0.5 * b  # m + b can overflow near the largest float
+        if mid == m or mid == b:
+            break
+        mids.append(mid)
+        m = mid
+    col = tape.columns(mids)[tape.root]
+    k = next((k for k, v in enumerate(col) if v != v), None)
+    if k is None:
+        return b
+    a, b = mids[k - 1] if k else a, mids[k]
     while abs(b - a) > BOUNDARY_TOL:
-        mid = 0.5 * a + 0.5 * b  # a + b can overflow near the largest float
+        mid = 0.5 * a + 0.5 * b
         if mid == a or mid == b:
             break
         if tape.value(mid) is not None:
@@ -86,8 +102,9 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     # Exact zeros of denominators and of sqrt/ln arguments are seeds too:
     # holes the grid can sail straight past without a definedness flip.
     # Only a sign change is bisected, so only it needs the slot's subtree.
+    # No domain scan reads small values, so none are collected.
     for slot in tape.domain_slots():
-        events = column_events(grid.columns[slot])
+        events = grid.events_of(slot, NO_BAND)
         value_at = lower(tape.nodes[slot]).value if events.changes else None
         seeds += column_roots(xs, grid.columns[slot], events, value_at)
 

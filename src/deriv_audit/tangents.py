@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
 from typing import NamedTuple
@@ -22,7 +23,7 @@ __all__ = [
     "Provenance", "TangentPoint", "RootScan", "Events", "Grid",
     "grid_points", "column_events", "clusters", "column_roots", "scan_roots",
     "combine_tangent_points",
-    "DEFAULT_GRID_N", "DEDUP_TOL",
+    "DEFAULT_GRID_N", "DEDUP_TOL", "NO_BAND",
 ]
 
 DEFAULT_GRID_N = 4096
@@ -33,6 +34,7 @@ DEDUP_TOL = 1e-9
 # and small there; a pole crossing fails this and is discarded.
 ROOT_RESIDUAL_TOL = 1e-6
 UNCONFIRMED_BAND = 1e-10
+NO_BAND = 5e-324  # 0 < |v| < NO_BAND holds for no float
 REPAIR_TOL = 1e-6
 
 
@@ -54,15 +56,19 @@ class RootScan:
     unconfirmed: tuple[float, ...]  # |value| < band at a grid point, no sign change
 
 
-def grid_points(iv: Interval, n: int) -> list[float]:
-    """n+1 equally spaced points; for even n the midpoint lands exactly."""
+def grid_points(iv: Interval, n: int, nodes: Sequence[int] | None = None) -> list[float]:
+    """The x of each grid node k in `nodes` (ascending, all n+1 by default)
+    of n equal steps over iv; for even n the midpoint lands exactly."""
+    if nodes is None:
+        nodes = range(n + 1)
     span = iv.hi - iv.lo
     if math.isfinite(n * span):
-        xs = [iv.lo + (i * span) / n for i in range(n + 1)]
+        xs = [iv.lo + (i * span) / n for i in nodes]
     else:
         # The span overflows: weigh the endpoints instead, which cannot.
-        xs = [iv.lo * ((n - i) / n) + iv.hi * (i / n) for i in range(n + 1)]
-    xs[-1] = iv.hi
+        xs = [iv.lo * ((n - i) / n) + iv.hi * (i / n) for i in nodes]
+    if xs and nodes[-1] == n:
+        xs[-1] = iv.hi
     return xs
 
 
@@ -72,11 +78,12 @@ class Events(NamedTuple):
     flips: list[int]    # defined at one of i and i+1, NaN at the other
     zeros: list[int]    # an exact zero at i
     changes: list[int]  # strictly opposite signs at i and i+1
-    small: list[int]    # 0 < |value| < UNCONFIRMED_BAND at i
+    small: list[int]    # 0 < |value| < band at i, see column_events
 
 
-def column_events(col: list[float]) -> Events:
-    """The events of a column with NaN where undefined.  C-level summaries
+def column_events(col: list[float], band: float = UNCONFIRMED_BAND) -> Events:
+    """The events of a column with NaN where undefined, small values being
+    those with 0 < |value| < band (NO_BAND: none).  C-level summaries
     decide where to look: a finite sum means no NaN; otherwise one `v != v`
     pass gives the NaN runs, whose edges are the flips.  A NaN-free stretch
     with one strict sign holds no zero and no sign change, and, beyond the
@@ -101,7 +108,7 @@ def column_events(col: list[float]) -> Events:
     zeros: list[int] = []
     changes: list[int] = []
     small: list[int] = []
-    band, neg_band = UNCONFIRMED_BAND, -UNCONFIRMED_BAND
+    neg_band = -band
     for s, e in zip(edges[::2], edges[1::2]):  # the NaN-free stretches
         if s == e:
             continue
@@ -126,20 +133,88 @@ def column_events(col: list[float]) -> Events:
 
 
 class Grid:
-    """fp lowered once and sampled in one pass at the points `xs`: grid_n
-    steps over iv, or lo alone if iv is a point.  Every grid scan reads the
-    `columns` of fp (slot `tape.root`) and of its domain-sensitive nodes,
-    and fp's column `events`, found once."""
+    """fp lowered once and sampled in one pass at the grid nodes no
+    enclosure certifies (see _dense_stretches): of grid_n steps over iv, or
+    lo alone if iv is a point.  `nodes` are their ascending indices into
+    grid_points(iv, grid_n), `xs` their points, and `columns` the columns of
+    fp (slot `tape.root`) and of its domain-sensitive nodes at them.  The
+    nodes fall into `stretches`, runs of consecutive indices, and an event
+    of a column is found stretch by stretch, so the pair i, i+1 of a flip or
+    a sign change is always one cell of the grid.  fp's `events` are found
+    once; the grid scans read only these."""
 
-    __slots__ = ("tape", "iv", "xs", "columns", "events")
+    __slots__ = ("tape", "iv", "nodes", "xs", "stretches", "columns", "events")
 
     def __init__(self, fp: Expr, iv: Interval, grid_n: int):
         if grid_n < 2:
             raise ValueError("grid_n must be at least 2")
-        self.tape, self.iv = lower(fp), iv
-        self.xs = [iv.lo] if iv.lo == iv.hi else grid_points(iv, grid_n)
-        self.columns = self.tape.columns(self.xs, self.tape.domain_slots())
-        self.events = column_events(self.columns[self.tape.root])
+        self.tape = tape = lower(fp)
+        self.iv = iv
+        if iv.lo == iv.hi:
+            self.stretches, self.nodes, self.xs = [(0, 0)], [0], [iv.lo]
+        else:
+            self.stretches = _dense_stretches(tape, iv, grid_n)
+            self.nodes = [k for s, e in self.stretches for k in range(s, e + 1)]
+            self.xs = grid_points(iv, grid_n, self.nodes)
+        self.columns = tape.columns(self.xs, tape.domain_slots())
+        self.events = self.events_of(tape.root)
+
+    def events_of(self, slot: int, band: float = UNCONFIRMED_BAND) -> Events:
+        """column_events of slot's column, stretch by stretch, as indices
+        into `xs`."""
+        col, found, start = self.columns[slot], Events([], [], [], []), 0
+        for s, e in self.stretches:
+            end = start + e - s + 1
+            for into, events in zip(found, column_events(col[start:end], band)):
+                into += [i + start for i in events]
+            start = end
+        return found
+
+
+# The fewest grid cells whose enclosure is worth its cost.  One enclosure of
+# a tape costs as much as its dense columns at 10 to 25 nodes (15 in the
+# median over the paper corpus' derivatives), so a range is enclosed from 32
+# cells up, and a grid gets at most grid_n / 32 enclosures: where nothing
+# certifies, they cost about half of the dense pass they fail to prune.
+MIN_RANGE = 32
+
+
+def _dense_stretches(tape: Tape, iv: Interval, n: int) -> list[tuple[int, int]]:
+    """The nodes of n steps over iv that must be evaluated, as ascending
+    runs (s, e) of node indices s..e, found by dyadic recursion over ranges
+    of cells, level by level.  A range is pruned where the enclosures over
+    its ends' points certify that fp is defined with one strict sign and
+    |fp| >= UNCONFIRMED_BAND, and that every domain slot is defined with one
+    strict sign: none of its nodes or cells can then hold an event of a
+    scanned column.  Ranges under MIN_RANGE cells, and all ranges once the
+    grid has had n // MIN_RANGE enclosures, are kept whole."""
+    if not math.isfinite(n * (iv.hi - iv.lo)):
+        return [(0, n)]  # weighed endpoints need not ascend, so no range is bounded by its ends
+    domain = tape.domain_slots()
+    budget = n // MIN_RANGE
+    kept: list[tuple[int, int]] = []
+    level = [(0, n)]
+    while level:
+        deeper = []
+        for a, b in level:
+            if b - a < MIN_RANGE or not budget:
+                kept.append((a, b))
+                continue
+            budget -= 1
+            encs = tape.enclose(*grid_points(iv, n, (a, b)))
+            f = encs[tape.root]
+            if (f is None or f[0] < UNCONFIRMED_BAND and f[1] > -UNCONFIRMED_BAND
+                    or any(encs[k] is None or encs[k][0] <= 0.0 <= encs[k][1] for k in domain)):
+                m = (a + b) // 2
+                deeper += [(a, m), (m, b)]
+        level = deeper
+    stretches: list[tuple[int, int]] = []
+    for a, b in sorted(kept):
+        if stretches and stretches[-1][1] == a:
+            stretches[-1] = (stretches[-1][0], b)
+        else:
+            stretches.append((a, b))
+    return stretches
 
 
 def clusters(items, x) -> list[list]:

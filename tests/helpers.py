@@ -294,6 +294,22 @@ def reference_events(col: list[float]) -> tuple[list[int], ...]:
     return flips, zeros, changes, small
 
 
+def reference_bisect_boundary(tape, a: float, b: float, tol: float) -> float:
+    """The point-by-point boundary bisection that `scan._bisect_boundary`
+    runs as one column first, kept as the oracle it is tested against:
+    from a defined point a and an undefined point b to the undefined-side
+    point within tol of the definedness flip."""
+    while abs(b - a) > tol:
+        mid = 0.5 * a + 0.5 * b
+        if mid == a or mid == b:
+            break
+        if tape.value(mid) is not None:
+            a = mid
+        else:
+            b = mid
+    return b
+
+
 _MAX_PASSES = 64
 
 

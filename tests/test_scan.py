@@ -1,7 +1,10 @@
 import math
+import random
+import struct
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
 from deriv_audit.expr import (
@@ -9,9 +12,9 @@ from deriv_audit.expr import (
 )
 from deriv_audit.probe import Inconclusive
 from deriv_audit.report import analyze, audit_point
-from deriv_audit.scan import scan_detailed
-from deriv_audit.tangents import Grid, column_events
-from helpers import chain
+from deriv_audit.scan import BOUNDARY_TOL, _bisect_boundary, scan_detailed
+from deriv_audit.tangents import DEFAULT_GRID_N, Grid, grid_points
+from helpers import chain, random_expr, reference_bisect_boundary, reference_events
 
 IV = Interval(-1, 1)
 
@@ -156,15 +159,62 @@ class TestWork:
         lowered, _ = self._count_calls(monkeypatch)
         result = scan_detailed(f_tape, grid)
         assert [note.x for note in result.interval_notes] == cs
-        events = {slot: column_events(grid.columns[slot]) for slot in grid.tape.domain_slots()}
-        changing = [grid.tape.nodes[slot] for slot, e in events.items() if e.changes]
-        assert len(changing) == 6 and any(e.zeros and not e.changes for e in events.values())
+        # which slots change sign, from the dense oracle over every grid node
+        tape = grid.tape
+        dense = tape.columns(grid_points(IV, 40), tape.domain_slots())
+        events = {slot: reference_events(dense[slot]) for slot in tape.domain_slots()}
+        changing = [tape.nodes[slot] for slot, (_, zeros, changes, _) in events.items() if changes]
+        assert len(changing) == 6
+        assert any(zeros and not changes for _, zeros, changes, _ in events.values())
         assert lowered == changing
 
     @pytest.mark.parametrize("lo", [-1.0, -0.0])
     def test_negative_zero_keeps_its_hole(self, lo):
         (cand, _), = analyze("cbrt(x)", Interval(lo, -0.0)).candidates
         assert cand.x0 == 0.0 and math.copysign(1.0, cand.x0) == -1.0
+
+
+class TestBisectBoundary:
+    """_bisect_boundary evaluates the midpoints it takes while each is
+    defined as one column, and ends where the point-by-point loop ends."""
+
+    def test_toward_an_undefined_grid_node_makes_no_run(self, monkeypatch):
+        # f' of cbrt(x) is undefined at the grid node 0 alone
+        tape = lower(_fp("cbrt(x)"))
+        xs = grid_points(IV, DEFAULT_GRID_N)
+        mid = DEFAULT_GRID_N // 2
+        assert xs[mid] == 0.0 and tape.value(0.0) is None
+        runs = [0]
+        run = Tape.run
+
+        def counted(self, x):
+            runs[0] += 1
+            return run(self, x)
+
+        monkeypatch.setattr(Tape, "run", counted)
+        assert _bisect_boundary(tape, xs[mid - 1], 0.0) == 0.0
+        assert _bisect_boundary(tape, xs[mid + 1], 0.0) == 0.0
+        assert runs[0] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6),
+           i=st.integers(0, 64), j=st.integers(0, 64))
+    def test_matches_the_scalar_loop(self, seed, depth, i, j):
+        # a defined and an undefined grid node, adjacent or far apart; every
+        # other tree is f of a family with an undefined region or a hole
+        rng = random.Random(seed)
+        f = random_expr(rng, depth) if seed % 2 else parse(rng.choice(
+            ["sqrt(x-{a})", "x*ln({a}-x)", "cbrt(x-{a})", "abs(x-{a})*sqrt(x^2-{a})"]
+        ).format(a=rng.uniform(-2, 2)))
+        tape = lower(differentiate(f).simplified)
+        xs = grid_points(Interval(-2, 2), 64)
+        col = tape.columns(xs)[tape.root]
+        defined = [x for x, v in zip(xs, col) if v == v]
+        undefined = [x for x, v in zip(xs, col) if v != v]
+        if defined and undefined:
+            a, b = defined[i % len(defined)], undefined[j % len(undefined)]
+            ref = reference_bisect_boundary(tape, a, b, BOUNDARY_TOL)
+            assert struct.pack("<d", _bisect_boundary(tape, a, b)) == struct.pack("<d", ref)
 
 
 class TestSoundness:

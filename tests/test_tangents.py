@@ -1,15 +1,17 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import HUGE, Interval, evaluate, parse
+from deriv_audit.expr import HUGE, Interval, Tape, evaluate, lower, parse
 from deriv_audit.probe import classify, probe
 from deriv_audit.report import analyze
 from deriv_audit.tangents import (
-    UNCONFIRMED_BAND, Grid, Provenance, column_events, scan_roots,
+    DEFAULT_GRID_N, MIN_RANGE, NO_BAND, UNCONFIRMED_BAND, Grid, Provenance, column_events,
+    grid_points, scan_roots,
 )
 from helpers import random_expr, reference_events
 
@@ -155,8 +157,101 @@ class TestColumnEvents:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
     def test_matches_the_per_element_rules_on_grid_columns(self, seed, depth):
+        # the dense columns of f' and its domain slots over a whole grid
+        tape = lower(differentiate(random_expr(random.Random(seed), depth)).simplified)
+        columns = tape.columns(grid_points(Interval(-2, 2), 64), tape.domain_slots())
+        for slot in [tape.root, *tape.domain_slots()]:
+            assert tuple(column_events(columns[slot])) == reference_events(columns[slot])
+
+
+def _bits(v):
+    return struct.pack("<d", v)
+
+
+def _assert_matches_dense(grid, n):
+    """The pruned grid against the dense oracle, `Tape.columns` at every
+    node of grid_points plus reference_events: the same points and values
+    at the nodes it keeps, every event of f' (all four lists) and every
+    flip, zero and sign change of each domain slot, at the same nodes; and
+    each flip or sign change is one cell of the grid."""
+    tape, iv = grid.tape, grid.iv
+    xs = grid_points(iv, n)
+    dense = tape.columns(xs, tape.domain_slots())
+    assert grid.nodes == sorted(set(grid.nodes))
+    assert [_bits(x) for x in grid.xs] == [_bits(xs[k]) for k in grid.nodes]
+    for slot in [tape.root, *tape.domain_slots()]:
+        assert [_bits(v) for v in grid.columns[slot]] == [_bits(dense[slot][k]) for k in grid.nodes]
+
+    def at_nodes(events):
+        for i in [*events[0], *events[2]]:
+            assert grid.nodes[i + 1] == grid.nodes[i] + 1
+        return tuple([grid.nodes[i] for i in found] for found in events)
+
+    assert at_nodes(grid.events) == reference_events(dense[tape.root])
+    for slot in tape.domain_slots():
+        events = grid.events_of(slot, NO_BAND)
+        assert events.small == []
+        assert at_nodes(events)[:3] == reference_events(dense[slot])[:3]
+
+
+# Hole families shifted by a: the paper corpus' three, a pole, tan's poles
+# and a logarithm whose argument may reach 0.
+FAMILIES = ["cbrt(x-{a})*sin((x-{a})^2)", "abs(x-{a})", "cbrt((x-{a})^2)", "sqrt((x-{a})^2+1)/x",
+            "tan(x-{a})", "ln(x^2-{a}*x+1)"]
+
+
+class TestPrunedGrid:
+    """Grid evaluates only the nodes no enclosure certifies; its events are
+    those of the dense grid."""
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6),
+           n=st.sampled_from([64, 512, 4096]))
+    def test_random_derivatives_match_the_dense_grid(self, seed, depth, n):
         fp = differentiate(random_expr(random.Random(seed), depth)).simplified
-        grid = Grid(fp, Interval(-2, 2), 64)
-        assert tuple(grid.events) == reference_events(grid.columns[grid.tape.root])
-        for slot in grid.tape.domain_slots():
-            assert tuple(column_events(grid.columns[slot])) == reference_events(grid.columns[slot])
+        _assert_matches_dense(Grid(fp, Interval(-2, 2), n), n)
+
+    @settings(deadline=None)
+    @given(family=st.sampled_from(FAMILIES), a=st.floats(-1.5, 1.5),
+           k=st.integers(-2048, 2048), n=st.sampled_from([64, 512, 4096]))
+    @example(family=FAMILIES[0], a=0.0, k=0, n=4096)
+    def test_hole_families_match_the_dense_grid(self, family, a, k, n):
+        # a on a grid node (a dyadic k/1024) or anywhere
+        for shift in (a, k / 1024):
+            fp = differentiate(parse(family.format(a=repr(shift)))).simplified
+            _assert_matches_dense(Grid(fp, Interval(shift - 1, shift + 1), n), n)
+
+    @pytest.mark.parametrize("fp", [
+        "1e-12*(x^2+1)",  # one strict sign, but every node small
+        "sqrt(abs(x))+1",  # f' certified, its sqrt argument 0 at the node 0
+        "1/(x+0.5)^2+ln(x+2)",  # a pole, with a domain slot that never changes sign
+        "x^2*cbrt(x)^2-1e-11",  # small values and two sign changes beside 0
+    ])
+    def test_named_derivatives_match_the_dense_grid(self, fp):
+        for n in (64, DEFAULT_GRID_N):
+            _assert_matches_dense(Grid(parse(fp), IV, n), n)
+
+    def test_worked_example_evaluates_few_nodes(self):
+        grid = Grid(differentiate(parse("cbrt(x)*sin(x^2)")).simplified, IV, DEFAULT_GRID_N)
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+        assert len(grid.nodes) < DEFAULT_GRID_N // 16
+
+    def test_point_interval_is_its_one_node(self):
+        grid = Grid(parse("1/x"), Interval(-0.0, -0.0), DEFAULT_GRID_N)
+        assert grid.nodes == [0] and _bits(grid.xs[0]) == _bits(-0.0)
+        value = grid.columns[grid.tape.root][0]
+        assert grid.events.flips == [] and value != value  # undefined there
+
+    @pytest.mark.parametrize("text", ["3", "x^2/x^2", "tan(10*x)"])
+    def test_enclosures_stay_within_the_cap(self, text, monkeypatch):
+        calls = [0]
+        enclose = Tape.enclose
+
+        def counted(self, lo, hi):
+            calls[0] += 1
+            return enclose(self, lo, hi)
+
+        monkeypatch.setattr(Tape, "enclose", counted)
+        grid = Grid(differentiate(parse(text)).simplified, IV, DEFAULT_GRID_N)
+        assert 0 < calls[0] <= DEFAULT_GRID_N // MIN_RANGE
+        _assert_matches_dense(grid, DEFAULT_GRID_N)

@@ -1,18 +1,18 @@
 """The lowered evaluator against the recursive reference evaluator it
 replaced (helpers.reference_evaluate): the same value bits and the same
 undefined reason at every point, for the scalar path and for every column
-the grid pass fills."""
+the grid pass fills; and Tape.enclose against the columns it must bound."""
 
 import math
 import random
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
 from deriv_audit.expr import (
-    Add, Constant, Div, Func, Interval, Mul, Neg, Pow, Sub, UndefinedReason, X,
+    HUGE, Add, Constant, Div, Func, Interval, Mul, Neg, Pow, Sub, UndefinedReason, X,
     evaluate, lower, parse,
 )
 from deriv_audit.report import analyze
@@ -71,15 +71,18 @@ def test_every_column_matches_reference(seed, depth):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
 def test_grid_pass_columns_of_the_derivative(seed, depth):
-    # exactly the columns analyze reads: f' and its domain-sensitive nodes
+    # exactly the columns the grid pass keeps: f' and its domain-sensitive
+    # nodes, at every grid node of the dense oracle
     fp = differentiate(random_expr(random.Random(seed), depth)).simplified
-    grid = Grid(fp, IV, 64)
-    kept = [i for i, col in enumerate(grid.columns) if col is not None]
-    assert kept == sorted({grid.tape.root, *grid.tape.domain_slots()})
+    tape = lower(fp)
+    xs = grid_points(IV, 64)
+    columns = tape.columns(xs, tape.domain_slots())
+    kept = [i for i, col in enumerate(columns) if col is not None]
+    assert kept == sorted({tape.root, *tape.domain_slots()})
     for i in kept:
-        for x, v in zip(grid.xs, grid.columns[i]):
+        for x, v in zip(xs, columns[i]):
             assert _bits(_undefined_as_none(v)) == _bits(
-                reference_evaluate(grid.tape.nodes[i], x).value)
+                reference_evaluate(tape.nodes[i], x).value)
 
 
 # Named cases: each operation with its own domain rule, the saturation rule,
@@ -210,3 +213,117 @@ class TestGridPoints:
         rep = analyze("x^2", Interval(-1e308, 1e308))
         assert [t.x for t in rep.tangents] == [0.0]
         assert rep.naive_tangents == (0.0,)
+
+
+# --------------------------------------------------------------------------
+# enclosures
+
+
+def _range_points(lo, hi):
+    """The ends of [lo, hi], their neighbours inside it, and 17 even steps."""
+    xs = [lo, hi, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+    xs += [lo + (hi - lo) * k / 16 for k in range(17)]
+    return [min(max(x, lo), hi) for x in xs]
+
+
+def _check_enclosures(e, lo, hi, xs=()):
+    """Tape.enclose(lo, hi) of e against its columns at the range's points
+    and at xs inside it: each value lies in its slot's enclosure, and a
+    certified slot is defined (NaN fails both comparisons)."""
+    tape = lower(e)
+    encs = tape.enclose(lo, hi)
+    assert len(encs) == len(tape.code)
+    xs = _range_points(lo, hi) + [x for x in xs if lo <= x <= hi]
+    for node, enc, column in zip(tape.nodes, encs, tape.columns(xs, keep=range(len(tape.code)))):
+        if enc is not None:
+            assert enc[0] <= enc[1] and math.isfinite(enc[0]) and math.isfinite(enc[1])
+            for x, v in zip(xs, column):
+                assert enc[0] <= v <= enc[1], (node, x, v, enc)
+    return encs
+
+
+SPECIAL_X = [0.0, -0.0, 1.0, -1.0, 0.5, math.pi / 2, -math.pi / 2, math.pi, 3 * math.pi / 2]
+WIDTHS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 4.0]),
+                   st.floats(0.0, 8.0))
+
+HAZARDS = [
+    ("sin maximum inside", parse("sin(x)"), 1.5, 1.7),
+    ("sin minimum inside", parse("sin(x)"), -1.7, -1.5),
+    ("cos maximum inside", parse("cos(x)"), -0.1, 0.1),
+    ("cos minimum inside", parse("cos(x)"), 3.1, 3.2),
+    ("sin over more than a period", parse("sin(3*x)+cos(x)"), -4.0, 4.0),
+    ("sin at large x", parse("sin(x)*cos(x)"), 1e7, 1e7 + 1.0),
+    ("tan beside pi/2", parse("tan(x)"), 1.5, math.pi / 2),
+    ("tan just below pi/2", parse("tan(x)"), 1.5, 1.5707963),
+    ("tan beside -pi/2", parse("tan(x)"), -math.pi / 2, -1.5),
+    ("tan between poles", parse("tan(x)"), -1.5, 1.5),
+    ("odd power across 0", parse("x^3+x^5"), -1.0, 2.0),
+    ("even power across 0", parse("x^2+x^4"), -1.0, 0.5),
+    ("negative even power", Pow(X, Neg(Constant(2))), -2.0, -0.5),
+    ("negative odd power across 0", Pow(X, Neg(Constant(3))), -1.0, 1.0),
+    ("0^p", Add(Pow(Constant(0), Constant(2)), Pow(X, Constant(0.5))), -0.0, 1.0),
+    ("0^0", Pow(X, Constant(0)), 0.0, 1.0),
+    ("negative base, non-integer power", Pow(X, Constant(1.5)), -1.0, 1.0),
+    ("non-constant exponent", Pow(X, X), 0.5, 1.0),
+    ("cbrt of negatives", parse("cbrt(x)+cbrt(x-8)"), -8.0, -1.0),
+    ("cbrt across 0", parse("cbrt(x)"), -1.0, 1.0),
+    ("-0.0 ends: 1/x", parse("1/x"), -0.0, 1.0),
+    ("-0.0 ends: sqrt, cbrt, abs", parse("sqrt(x)+cbrt(x)+abs(x)"), -0.0, 1.0),
+    ("-0.0 ends: ln", parse("ln(x)"), -0.0, 1.0),
+    ("-0.0 ends: to the left", parse("sqrt(-x)+cbrt(x)"), -1.0, -0.0),
+    ("near HUGE: a product", parse("x*1e308"), 1.0, 2.0),
+    ("near HUGE: exp", parse("exp(x)"), 700.0, 710.0),
+    ("near HUGE: 1e300*x*x", parse("1e300*x*x"), 1e3, 1e4),
+    ("near HUGE: x^301", Pow(X, Constant(301)), -1e10, 1e10),
+    ("near HUGE: a quotient", parse("1/(x-1)"), 1.0 + 2 ** -52, 2.0),
+    ("near HUGE: just below", Mul(X, Constant(HUGE / 4)), 1.0, 3.9),
+]
+LIBM = ["sin(x)", "cos(x)", "tan(x)", "exp(x)", "ln(x)", "cbrt(x)", "x^0.5", "x^1.5"]
+
+
+class TestEnclose:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6),
+           derivative=st.booleans(),
+           lo=st.one_of(st.floats(-4.0, 4.0), st.sampled_from(SPECIAL_X)), width=WIDTHS)
+    @example(seed=0, depth=1, derivative=False, lo=-0.0, width=0.0)
+    def test_enclosures_hold_every_column_value(self, seed, depth, derivative, lo, width):
+        e = random_expr(random.Random(seed), depth)
+        if derivative:
+            e = differentiate(e).simplified
+        _check_enclosures(e, lo, lo + width)
+
+    @pytest.mark.parametrize("name,e,xs", [n for n in NAMED if n[2]],
+                             ids=[n for n, _, xs in NAMED if xs])
+    def test_named_case(self, name, e, xs):
+        _check_enclosures(e, min(xs), max(xs), xs)
+        for x in xs:
+            _check_enclosures(e, x, x)
+
+    @pytest.mark.parametrize("name,e,lo,hi", HAZARDS, ids=[h[0] for h in HAZARDS])
+    def test_hazard(self, name, e, lo, hi):
+        poles_and_peaks = [k * math.pi / 2 for k in range(-4, 5)]
+        _check_enclosures(e, lo, hi, poles_and_peaks)
+
+    def test_extrema_inside_reach_one(self):
+        assert _check_enclosures(parse("sin(x)"), 1.5, 1.7)[-1][1] >= 1.0
+        assert _check_enclosures(parse("sin(x)"), -1.7, -1.5)[-1][0] <= -1.0
+        assert _check_enclosures(parse("cos(x)"), 3.1, 3.2)[-1][0] <= -1.0
+        assert _check_enclosures(parse("x^2"), -1.0, 0.5)[-1][0] <= 0.0
+
+    @pytest.mark.parametrize("text,lo,hi", [
+        ("tan(x)", 1.5, math.pi / 2), ("tan(x)", -math.pi / 2, -1.5),
+        ("1/x", -0.0, 1.0), ("ln(x)", -0.0, 1.0), ("sqrt(x)", -1e-300, 1.0),
+        ("x^0.5", -1e-300, 1.0), ("x^(-2)", -1.0, 1.0), ("x^0", -0.0, 1.0), ("x^x", 0.5, 1.0),
+        ("x*1e308", 1.0, 2.0), ("exp(x)", 700.0, 710.0), ("x^301", -1e10, 1e10),
+    ])
+    def test_uncertified(self, text, lo, hi):
+        assert _check_enclosures(parse(text), lo, hi)[-1] is None
+
+    @pytest.mark.parametrize("text", LIBM)
+    def test_libm_results_widened_two_ulps(self, text):
+        x = 0.7
+        lo, hi = lower(parse(text)).enclose(x, x)[-1]
+        v = evaluate(parse(text), x).value
+        assert lo <= math.nextafter(math.nextafter(v, -math.inf), -math.inf)
+        assert hi >= math.nextafter(math.nextafter(v, math.inf), math.inf)
