@@ -173,11 +173,13 @@ def _assert_matches_dense(grid, n):
     node of grid_points plus reference_events: the same points and values
     at the nodes it keeps, every event of f' (all four lists) and every
     flip, zero and sign change of each domain slot, at the same nodes; and
-    each flip or sign change is one cell of the grid."""
+    each flip or sign change is one cell of the grid.  The nodes ascend
+    strictly, and stretches that overlap or touch are one stretch."""
     tape, iv = grid.tape, grid.iv
     xs = grid_points(iv, n)
     dense = tape.columns(xs, tape.domain_slots())
     assert grid.nodes == sorted(set(grid.nodes))
+    assert all(e < s for (_, e), (s, _) in zip(grid.stretches, grid.stretches[1:]))
     assert [_bits(x) for x in grid.xs] == [_bits(xs[k]) for k in grid.nodes]
     for slot in [tape.root, *tape.domain_slots()]:
         assert [_bits(v) for v in grid.columns[slot]] == [_bits(dense[slot][k]) for k in grid.nodes]
@@ -198,6 +200,24 @@ def _assert_matches_dense(grid, n):
 # and a logarithm whose argument may reach 0.
 FAMILIES = ["cbrt(x-{a})*sin((x-{a})^2)", "abs(x-{a})", "cbrt((x-{a})^2)", "sqrt((x-{a})^2+1)/x",
             "tan(x-{a})", "ln(x^2-{a}*x+1)"]
+
+
+@pytest.fixture
+def enclosures(monkeypatch):
+    """The count of Tape.enclose calls made while the test runs."""
+    calls = [0]
+    enclose = Tape.enclose
+
+    def counted(self, lo, hi):
+        calls[0] += 1
+        return enclose(self, lo, hi)
+
+    monkeypatch.setattr(Tape, "enclose", counted)
+    return calls
+
+
+def _default_grid(text, iv=IV):
+    return Grid(differentiate(parse(text)).simplified, iv, DEFAULT_GRID_N)
 
 
 class TestPrunedGrid:
@@ -232,9 +252,67 @@ class TestPrunedGrid:
             _assert_matches_dense(Grid(parse(fp), IV, n), n)
 
     def test_worked_example_evaluates_few_nodes(self):
-        grid = Grid(differentiate(parse("cbrt(x)*sin(x^2)")).simplified, IV, DEFAULT_GRID_N)
+        grid = _default_grid("cbrt(x)*sin(x^2)")
         _assert_matches_dense(grid, DEFAULT_GRID_N)
-        assert len(grid.nodes) < DEFAULT_GRID_N // 16
+        assert len(grid.nodes) <= 3
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_an_event_on_the_middle_node_is_isolated_in_one_split(self, family, enclosures):
+        # [a-1, a+1] has its middle node at a.  For any a, the paper
+        # corpus' three families have their hole there and tan(x-a) has no
+        # event; the pole at 0 and the root at a/2 of the other two are
+        # there only for a = 0.
+        only_zero = family in ("sqrt((x-{a})^2+1)/x", "ln(x^2-{a}*x+1)")
+        for a in [0.0] if only_zero else [0.0, 0.5, -0.75, 1.25, 7 / 1024]:
+            enclosures[0] = 0
+            grid = _default_grid(family.format(a=repr(a)), Interval(a - 1, a + 1))
+            assert enclosures[0] <= 3 and len(grid.nodes) <= 3
+            _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    @pytest.mark.parametrize("fp", [
+        "1/x",  # f' undefined at the middle node
+        "x-1e-12",  # f' defined but small there
+        "sqrt(abs(x))+1",  # f' certified, its sqrt argument 0 there
+    ])
+    def test_each_kind_of_troubled_middle_node_is_isolated(self, fp, enclosures):
+        grid = Grid(parse(fp), IV, DEFAULT_GRID_N)
+        assert enclosures[0] <= 3 and len(grid.nodes) <= 3
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    @pytest.mark.parametrize("c, level", [(0.0, 0), (0.5, 1), (-0.5, 1), (0.25, 2), (-0.75, 2),
+                                          (0.125, 3)])
+    def test_a_hole_on_a_split_node_costs_two_enclosures_a_level(self, c, level, enclosures):
+        # c is first a split node at `level`, 0 for the middle node: each
+        # level above it has one range with c inside to split, and at its
+        # level the two halves beside it are pruned without it.
+        grid = _default_grid(f"cbrt(x-{c!r})")
+        assert enclosures[0] <= 2 * level + 3 and len(grid.nodes) <= 3
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    @pytest.mark.parametrize("c", ["0.3", "1/3"])
+    def test_a_hole_between_nodes_costs_no_more_than_before(self, c, enclosures):
+        grid = _default_grid(f"cbrt(x-{c})")
+        assert enclosures[0] <= 15 and len(grid.nodes) <= 33
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    def test_overlapping_kept_ranges_merge(self):
+        # The troubled middle node keeps (2047, 2049), and the half after it
+        # is split down to (2048, 2064), which the hole at 0.004 keeps whole.
+        grid = _default_grid("cbrt(x)*cbrt(x-0.004)")
+        assert grid.stretches == [(2047, 2080)]
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    @pytest.mark.parametrize("text", ["x^x", "(1.27+x)^x", "2^sin(x)"])
+    def test_an_exponent_in_x_skips_every_enclosure(self, text, enclosures):
+        # such a power is uncertified on every range, and so is the root
+        grid = _default_grid(text)
+        assert enclosures[0] == 0 and grid.stretches == [(0, DEFAULT_GRID_N)]
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    def test_a_constant_exponent_not_yet_folded_is_enclosed(self, enclosures):
+        grid = Grid(parse("x^(1+1)"), IV, DEFAULT_GRID_N)
+        assert enclosures[0] > 0 and len(grid.nodes) <= 3
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     def test_point_interval_is_its_one_node(self):
         grid = Grid(parse("1/x"), Interval(-0.0, -0.0), DEFAULT_GRID_N)
@@ -243,15 +321,7 @@ class TestPrunedGrid:
         assert grid.events.flips == [] and value != value  # undefined there
 
     @pytest.mark.parametrize("text", ["3", "x^2/x^2", "tan(10*x)"])
-    def test_enclosures_stay_within_the_cap(self, text, monkeypatch):
-        calls = [0]
-        enclose = Tape.enclose
-
-        def counted(self, lo, hi):
-            calls[0] += 1
-            return enclose(self, lo, hi)
-
-        monkeypatch.setattr(Tape, "enclose", counted)
-        grid = Grid(differentiate(parse(text)).simplified, IV, DEFAULT_GRID_N)
-        assert 0 < calls[0] <= DEFAULT_GRID_N // MIN_RANGE
+    def test_enclosures_stay_within_the_cap(self, text, enclosures):
+        grid = _default_grid(text)
+        assert 0 < enclosures[0] <= DEFAULT_GRID_N // MIN_RANGE
         _assert_matches_dense(grid, DEFAULT_GRID_N)
