@@ -11,17 +11,15 @@ other factor is total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import (
     OPS, Add, Constant, Div, Expr, Func, Mul, Neg, Pow, Sub, Variable,
-    _is_exact_integer, children, op_of, post_order,
+    _is_exact_integer, children, op_of, post_order, record,
 )
 
 __all__ = ["DerivativeResult", "differentiate", "simplify"]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DerivativeResult:
     raw: Expr
     simplified: Expr

@@ -15,16 +15,16 @@ import enum
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Callable
 from itertools import repeat
-from typing import Callable, NamedTuple
 
 __all__ = [
     "Expr", "Constant", "Variable", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
     "Func", "FUNCTION_NAMES", "X",
     "UndefinedReason", "EvalOutcome", "Interval", "ParseError",
     "parse", "format_expr", "evaluate", "format_number", "Tape", "lower",
-    "Op", "OPS", "op_of", "post_order",
+    "Op", "OPS", "op_of", "post_order", "record",
 ]
 
 FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "cbrt", "abs"})
@@ -33,6 +33,44 @@ FUNCTION_NAMES = frozenset({"sin", "cos", "tan", "exp", "ln", "sqrt", "cbrt", "a
 # magnitude artifact.
 HUGE = 1.7976931348623157e308
 NAN = math.nan
+
+
+class _Record:
+    """What a record adds to its tuple: it equals only a record of its own
+    type with equal fields, hashes as its fields, and is always true."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:  # else tuple.__ne__ would win
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self) -> bool:
+        return True
+
+
+def record(cls: type) -> type:
+    """The one way to declare a record: cls rebuilt as an immutable
+    subclass of a collections.namedtuple of its annotated fields, with
+    their defaults, and of its own base class, so its methods are kept.
+    The repr is `Name(field=value, ...)`.  A `__new__` that validates
+    builds the instance with `tuple.__new__(cls, fields)`: zero-argument
+    super() does not reach the rebuilt class.  As in a dataclass, a field
+    without a default may not follow one with a default."""
+    ns = dict(vars(cls))
+    names = tuple(cls.__annotations__)
+    defaulted = tuple(name for name in names if name in ns)
+    if names[len(names) - len(defaulted):] != defaulted:
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    defaults = [ns.pop(name) for name in defaulted]
+    del ns["__dict__"], ns["__weakref__"]
+    ns["__slots__"] = ()
+    bases = [b for b in cls.__bases__ if b is not object]
+    return type(cls.__name__, (*bases, _Record, namedtuple(cls.__name__, names, defaults=defaults)), ns)
 
 
 class Expr:
@@ -45,12 +83,12 @@ class Expr:
         return format_expr(self)
 
     def __repr__(self) -> str:
-        """The dataclass repr, as in `Add(left=Variable(), right=Constant(value=1.0))`."""
+        """The record repr, as in `Add(left=Variable(), right=Constant(value=1.0))`."""
         return _emit(self, _repr_pieces)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
-            return NotImplemented
+            return False  # not NotImplemented: tuple.__eq__ would compare fields
         pairs = [(self, other)]
         while pairs:
             a, b = pairs.pop()
@@ -69,65 +107,66 @@ class Expr:
         return h[id(self)]
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Constant(Expr):
     value: float
 
-    def __post_init__(self):
-        v = float(self.value)
+    def __new__(cls, value):
+        v = float(value)
         if not math.isfinite(v):
-            raise ValueError(f"constant must be finite, got {self.value!r}")
-        object.__setattr__(self, "value", v)
+            raise ValueError(f"constant must be finite, got {value!r}")
+        return tuple.__new__(cls, (v,))
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Variable(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Pow(Expr):
     base: Expr
     exponent: Expr
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@record
 class Func(Expr):
     name: str
     arg: Expr
 
-    def __post_init__(self):
-        if self.name not in FUNCTION_NAMES:
-            raise ValueError(f"unknown function name {self.name!r}")
+    def __new__(cls, name, arg):
+        if name not in FUNCTION_NAMES:
+            raise ValueError(f"unknown function name {name!r}")
+        return tuple.__new__(cls, (name, arg))
 
 
 #: The single free variable.
@@ -175,7 +214,7 @@ class UndefinedReason(enum.Enum):
     TAN_POLE = "tangent pole"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EvalOutcome:
     """Either a finite real value or the reason the expression has none."""
 
@@ -187,19 +226,18 @@ class EvalOutcome:
         return self.reason is None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Interval:
     lo: float
     hi: float
 
-    def __post_init__(self):
-        lo, hi = float(self.lo), float(self.hi)
+    def __new__(cls, lo, hi):
+        lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
         if lo > hi:
             raise ValueError(f"interval requires lo <= hi, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        return tuple.__new__(cls, (lo, hi))
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +284,8 @@ def _exp(u: float) -> float:
         return HUGE
 
 
-class Op(NamedTuple):
+@record
+class Op:
     value: Callable | None  # at defined operands; None where undefined
     reason: UndefinedReason | None  # why it can be undefined; None if total
     column: Callable | None  # see _column; None where only `value` is exact
@@ -616,7 +655,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Token:
     kind: str  # "number" | "ident" | "op" | "end"
     text: str
@@ -758,9 +797,8 @@ def _format_pieces(e: Expr) -> list:
 
 def _repr_pieces(e: Expr) -> list:
     text: list = [type(e).__qualname__, "("]
-    for k, field in enumerate(fields(e)):
-        v = getattr(e, field.name)
-        text += [", " * (k > 0), field.name, "=", v if isinstance(v, Expr) else repr(v)]
+    for k, (name, v) in enumerate(zip(e._fields, e)):
+        text += [", " * (k > 0), name, "=", v if isinstance(v, Expr) else repr(v)]
     return [*text, ")"]
 
 

@@ -13,9 +13,8 @@ P_MIN are deliberately left inconclusive rather than guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .expr import EvalOutcome, Expr, Tape, _sat, lower
+from .expr import EvalOutcome, Expr, Tape, _sat, lower, record
 
 __all__ = [
     "QuotientProbe", "Verdict", "Differentiable", "VerticalTangent", "Cusp",
@@ -46,7 +45,7 @@ DIVERGENCE_MAGNITUDE_MIN = 1e4
 SIDE_MERGE_TOL = 1e-4
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QuotientProbe:
     """One-sided difference quotients (f(x0±h) - f(x0)) / (±h) per step."""
 
@@ -55,13 +54,12 @@ class QuotientProbe:
     right: tuple[EvalOutcome, ...]
     left: tuple[EvalOutcome, ...]
 
-    def __post_init__(self):
-        if len(self.right) != len(self.schedule) or len(self.left) != len(self.schedule):
+    def __new__(cls, x0, schedule, right, left):
+        if len(right) != len(schedule) or len(left) != len(schedule):
             raise ValueError("side lists must match the schedule length")
-        if any(h <= 0 for h in self.schedule) or any(
-            b >= a for a, b in zip(self.schedule, self.schedule[1:])
-        ):
+        if any(h <= 0 for h in schedule) or any(b >= a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be strictly decreasing and positive")
+        return tuple.__new__(cls, (x0, schedule, right, left))
 
 
 class Verdict:
@@ -71,31 +69,31 @@ class Verdict:
     kind = "verdict"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Differentiable(Verdict):
     value: float
     kind = "differentiable"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VerticalTangent(Verdict):
     sign: int
     kind = "vertical_tangent"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Cusp(Verdict):
     kind = "cusp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Corner(Verdict):
     left_slope: float
     right_slope: float
     kind = "corner"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Inconclusive(Verdict):
     diagnostic: str
     kind = "inconclusive"
@@ -125,7 +123,7 @@ def probe(f: Expr | Tape, x0: float) -> QuotientProbe:
                          left=quotients[STEPS:])
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Side:
     status: str  # "converged" | "diverged" | "failed"
     limit: float | None = None

@@ -8,11 +8,9 @@ the corrected one; the difference is exactly the repaired points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
 from .derivative import differentiate
 from .expr import (
-    EvalOutcome, Interval, Tape, format_expr, format_number, lower, parse,
+    EvalOutcome, Interval, Tape, format_expr, format_number, lower, parse, record,
 )
 from .probe import (
     Corner, Cusp, Differentiable, Inconclusive, Verdict, VerticalTangent,
@@ -31,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DerivativePiece:
     condition: str
     expression: str | None = None  # the default piece
@@ -39,7 +37,7 @@ class DerivativePiece:
     value: float | None = None     # ... and the derivative there
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PointAudit:
     """The three audit steps at x0.  Step 1: f's outcome there.  Step 2: f''s
     outcome there; where it is undefined, its culprit, the smallest undefined
@@ -75,7 +73,7 @@ def audit_point(input_text: str, x0: float) -> PointAudit:
     return _audit(input_text, format_expr(fp), lower(f), lower(fp), x0)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AnalysisReport:
     input_text: str
     interval: Interval
@@ -90,9 +88,19 @@ class AnalysisReport:
     # the lowered input and the grid's tape of its simplified derivative
     # (`fp_tape.nodes[fp_tape.root]`), for emit_plot_data; neither is
     # rendered, and both, which input_text and derivative_text spell out,
-    # are left out of == and repr
-    f_tape: Tape = field(compare=False, repr=False)
-    fp_tape: Tape = field(compare=False, repr=False)
+    # are left out of ==, hash and repr by [:-2], so they stay the last two
+    f_tape: Tape
+    fp_tape: Tape
+
+    def __eq__(self, other) -> bool:
+        return type(other) is AnalysisReport and self[:-2] == other[:-2]
+
+    def __hash__(self) -> int:
+        return hash(self[:-2])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={v!r}" for name, v in zip(self._fields[:-2], self))
+        return f"AnalysisReport({shown})"
 
 
 def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> AnalysisReport:
@@ -173,7 +181,7 @@ def emit_plot_data(f_tape: Tape, fp_tape: Tape, iv: Interval, n: int, path) -> N
 
 
 def _verdict_dict(v: Verdict) -> dict:
-    return {"kind": v.kind, **{f.name: getattr(v, f.name) for f in fields(v)}}
+    return {"kind": v.kind, **v._asdict()}
 
 
 def _step1_dict(a: PointAudit) -> dict:

@@ -12,9 +12,8 @@ than as holes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .expr import Tape, UndefinedReason, lower
+from .expr import Tape, UndefinedReason, lower, record
 from .tangents import DEDUP_TOL, NO_BAND, Grid, clusters, column_roots
 
 __all__ = ["IntervalNote", "ScanResult", "scan_detailed"]
@@ -22,7 +21,7 @@ __all__ = ["IntervalNote", "ScanResult", "scan_detailed"]
 BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IntervalNote:
     """Boundary of a region where the derivative expression is undefined."""
 
@@ -31,7 +30,7 @@ class IntervalNote:
     reason: UndefinedReason
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ScanResult:
     """Isolated holes, ascending, split by step 1: f defined there
     (candidates) or not (dismissed); and the undefined regions' notes."""

@@ -12,11 +12,9 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
-from typing import NamedTuple
 
-from .expr import Expr, Interval, Tape, lower
+from .expr import Expr, Interval, Tape, lower, record
 from .probe import Differentiable
 
 __all__ = [
@@ -43,14 +41,14 @@ class Provenance(enum.Enum):
     REPAIRED_BY_DEFINITION = "repaired_by_definition"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TangentPoint:
     x: float
     provenance: Provenance
     residual: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RootScan:
     roots: tuple[float, ...]
     unconfirmed: tuple[float, ...]  # |value| < band at a grid point, no sign change
@@ -72,7 +70,8 @@ def grid_points(iv: Interval, n: int, nodes: Sequence[int] | None = None) -> lis
     return xs
 
 
-class Events(NamedTuple):
+@record
+class Events:
     """What a scan can find in a column, as ascending indices i into it."""
 
     flips: list[int]    # defined at one of i and i+1, NaN at the other

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields
 
 from deriv_audit.expr import (
     Add, Constant, Div, EvalOutcome, Expr, Func, Mul, Neg, ParseError, Pow, Sub,
@@ -502,11 +501,11 @@ def reference_d(e: Expr) -> Expr:
 
 
 def reference_repr(e: Expr) -> str:
-    """The dataclass-generated repr that `Expr.__repr__`'s loop over
+    """The recursive field-by-field repr that `Expr.__repr__`'s loop over
     post_order replaced, kept as the oracle it is tested against."""
     args = ", ".join(
-        f"{f.name}={reference_repr(v) if isinstance(v, Expr) else repr(v)}"
-        for f in fields(e) for v in [getattr(e, f.name)]
+        f"{name}={reference_repr(v) if isinstance(v, Expr) else repr(v)}"
+        for name, v in zip(e._fields, e)
     )
     return f"{type(e).__qualname__}({args})"
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
 from deriv_audit.expr import (
-    Add, Constant, Div, Func, Interval, Mul, Neg, ParseError, Pow, Sub,
-    UndefinedReason, X, evaluate, format_expr, parse,
+    Add, Constant, Div, EvalOutcome, Func, Interval, Mul, Neg, ParseError, Pow, Sub,
+    UndefinedReason, Variable, X, evaluate, format_expr, parse, record,
 )
 from helpers import chain, random_expr, reference_format, reference_parse, reference_repr
 
@@ -95,7 +95,7 @@ class TestDeep:
 
     def test_eq_and_hash_on_chains_built_separately(self):
         a, b = chain(DEEP, Neg), chain(DEEP, Neg)
-        assert a is not b and a == b and hash(a) == hash(b)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
         assert a != chain(DEEP, Neg, Constant(1)) and a != chain(DEEP - 1, Neg)
 
 
@@ -104,7 +104,7 @@ def _parse_outcome(parse_fn, text):
         tree = parse_fn(text)
     except ParseError as exc:
         return "error", str(exc), exc.message, exc.position
-    return "tree", repr(tree)  # the dataclass repr: a structure check apart from ==
+    return "tree", repr(tree)  # the record repr: a structure check apart from ==
 
 
 def _edited(t):
@@ -277,19 +277,81 @@ class TestEvaluate:
 
 class TestInterval:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^interval requires lo <= hi, got \[1.0, -1.0\]$"):
             Interval(1.0, -1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^interval requires lo <= hi, got \[2.0, 1.0\]$"):
+            Interval(2, 1)
+        with pytest.raises(ValueError, match="^interval endpoints must be finite$"):
             Interval(0.0, math.inf)
         iv = Interval(-1, 1)
         assert iv.lo == -1.0 and iv.hi == 1.0
+        assert type(iv.lo) is float and type(iv.hi) is float
 
     def test_constant_must_be_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^constant must be finite, got nan$"):
             Constant(math.nan)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^constant must be finite, got inf$"):
             Constant(math.inf)
+        assert type(Constant(2).value) is float
 
     def test_unknown_function_name_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown function name 'sinh'$"):
             Func("sinh", X)
+
+
+class TestRecords:
+    """Records are named tuples that keep the frozen dataclass behaviour:
+    equal by type and fields, hashed by fields, immutable, always true."""
+
+    RECORDS = [Constant(1.0), X, Neg(X), Add(X, Constant(2)), Func("sin", X),
+               EvalOutcome(1.0), EvalOutcome(reason=UndefinedReason.DIV_BY_ZERO), Interval(1, 2)]
+
+    def test_equality_is_by_type_then_fields(self):
+        for a, b in [(Constant(1.0), (1.0,)), (Interval(1, 2), (1.0, 2.0)),
+                     (EvalOutcome(1.0), (1.0, None)), (X, ()), (Add(X, X), Sub(X, X)),
+                     (Add(X, X), (X, X)), (EvalOutcome(1.0, None), Interval(1, 1))]:
+            assert a != b and b != a
+            assert not a == b and not b == a
+        assert Constant(1) == Constant(1.0) and not Constant(1) != Constant(1.0)
+        assert Interval(1, 2) == Interval(1.0, 2.0) and not Interval(1, 2) != Interval(1.0, 2.0)
+
+    def test_equal_records_hash_equal(self):
+        for a in self.RECORDS:
+            b = type(a)(*a)
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(Interval(1, 2)) == hash(Interval(1.0, 2.0)) == hash((1.0, 2.0))
+
+    def test_fields_are_read_only(self):
+        for r in self.RECORDS:
+            for name in r._fields:
+                with pytest.raises(AttributeError):
+                    setattr(r, name, getattr(r, name))
+            with pytest.raises(AttributeError):
+                r.extra = 1  # no __dict__
+
+    def test_every_record_is_true(self):
+        assert bool(Variable()) and bool(X)
+        assert all(self.RECORDS)
+
+    def test_repr(self):
+        assert repr(EvalOutcome(1.0)) == "EvalOutcome(value=1.0, reason=None)"
+        assert repr(Interval(1, 2)) == "Interval(lo=1.0, hi=2.0)"
+        assert repr(X) == "Variable()"
+        assert repr(EvalOutcome(reason=UndefinedReason.TAN_POLE)) == (
+            "EvalOutcome(value=None, reason=<UndefinedReason.TAN_POLE: 'tangent pole'>)")
+
+    def test_keywords_and_defaults(self):
+        assert EvalOutcome() == EvalOutcome(None, None) == EvalOutcome(value=None)
+        assert EvalOutcome(reason=UndefinedReason.DIV_BY_ZERO).value is None
+        assert EvalOutcome(2.0).reason is None and EvalOutcome(2.0).is_defined
+        assert Interval(hi=2, lo=1) == Interval(1, 2)
+        assert Constant(value=2) == Constant(2.0)
+        assert Func(arg=X, name="cos") == Func("cos", X)
+        assert Add(right=Constant(1), left=X) == parse("x+1")
+
+    def test_a_default_before_a_field_without_one_is_refused(self):
+        with pytest.raises(TypeError, match="without a default follows"):
+            @record
+            class Bad:
+                a: int = 0
+                b: int

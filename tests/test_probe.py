@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate
-from deriv_audit.expr import Constant, EvalOutcome, Interval, Mul, Sub, X, _sat, lower, parse
+from deriv_audit.expr import (
+    Constant, EvalOutcome, Interval, Mul, Sub, Variable, X, _sat, lower, parse,
+)
 from deriv_audit.probe import (
     CONVERGENCE_TOL, DIVERGENCE_MAGNITUDE_MIN, H0, P_MIN, RATIO, STEPS, Corner, Cusp,
     Differentiable, Inconclusive, QuotientProbe, VerticalTangent, classify, probe,
@@ -85,6 +87,17 @@ class TestProbe:
         assert all(not o.is_defined for o in p.left)
         assert all(o.is_defined for o in p.right)
 
+    def test_record_validation(self):
+        ok, out = (0.1, 0.05), (EvalOutcome(1.0), EvalOutcome(1.0))
+        QuotientProbe(0.0, ok, out, out)
+        with pytest.raises(ValueError, match="^side lists must match the schedule length$"):
+            QuotientProbe(0.0, ok, out[:1], out)
+        with pytest.raises(ValueError, match="^side lists must match the schedule length$"):
+            QuotientProbe(x0=0.0, schedule=ok, right=out, left=out * 2)
+        for schedule in [(0.05, 0.1), (0.1, 0.1), (0.1, 0.0), (-0.1, -0.2)]:
+            with pytest.raises(ValueError, match="^schedule must be strictly decreasing and positive$"):
+                QuotientProbe(0.0, schedule, out, out)
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             probe(parse("1/x"), 0.0)
@@ -120,6 +133,16 @@ def test_probe_matches_the_scalar_path_on_random_trees(seed, depth, x0):
 
 
 class TestClassify:
+    def test_verdicts_are_equal_by_type_then_fields(self):
+        assert Differentiable(1.0) != VerticalTangent(1) and not Differentiable(1.0) == VerticalTangent(1)
+        assert Cusp() != Variable() and Variable() != Cusp()
+        assert not Cusp() == Variable() and not Variable() == Cusp()
+        assert Cusp() == Cusp() and hash(Cusp()) == hash(Cusp())
+        assert Corner(-1, 1) == Corner(left_slope=-1, right_slope=1) != (-1, 1)
+        assert Inconclusive("why") != ("why",) and ("why",) != Inconclusive("why")
+        assert bool(Cusp()) and repr(Cusp()) == "Cusp()"
+        assert repr(Corner(-1.0, 1.0)) == "Corner(left_slope=-1.0, right_slope=1.0)"
+
     def test_worked_example_differentiable_zero(self):
         v = classify(probe(parse("cbrt(x)*sin(x^2)"), 0.0))
         assert isinstance(v, Differentiable)

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
 
@@ -16,7 +18,7 @@ from deriv_audit.probe import (
     Corner, Cusp, Differentiable, Inconclusive, VerticalTangent,
 )
 from deriv_audit.report import (
-    _verdict_dict, analyze, audit_point, emit_plot_data, point_json_dict,
+    AnalysisReport, _verdict_dict, analyze, audit_point, emit_plot_data, point_json_dict,
     render_point_text, render_text, to_json_dict,
 )
 from deriv_audit.tangents import Provenance
@@ -63,8 +65,12 @@ class TestAnalyze:
     def test_equal_inputs_give_equal_reports(self):
         for text in ["cbrt(x)*sin(x^2)", "x^3", "1/x+sqrt(x)"]:
             first, second = analyze(text, IV), analyze(text, IV)
-            assert first == second
+            assert AnalysisReport._fields[-2:] == ("f_tape", "fp_tape")  # what [:-2] leaves out
+            assert first.f_tape is not second.f_tape  # the tapes are left out of ==
+            assert first == second and not first != second and hash(first) == hash(second)
             assert repr(first) == repr(second)
+            assert repr(first).startswith("AnalysisReport(input_text=")
+            assert "tape" not in repr(first).lower()
 
     def test_naive_subset_of_corrected(self):
         for text in ["cbrt(x)*sin(x^2)", "x^3", "cbrt(x)*cos(x^2)", "x^2-x^4"]:
@@ -424,6 +430,17 @@ _PARSER_STATE_ARGVS = [
     (["classify", "cbrt(x)*cos(x^2)", "--at", "0"], 0),
     (["diff", "x^2*sin(x)"], 0),
 ]
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site from loading them first; src/ comes first on sys.path
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import deriv_audit, deriv_audit.cli; "
+            "print(deriv_audit.__file__); print(*{'dataclasses', 'inspect', 'typing'} & set(sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
+                          check=True)
+    where, loaded = done.stdout.split("\n")[:2]
+    assert where.startswith(src) and loaded == ""
 
 
 def test_cached_parser_is_stateless():
