@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .expr import Tape, UndefinedReason, lower, record
-from .tangents import DEDUP_TOL, NO_BAND, Grid, clusters, column_roots
+from .tangents import DEDUP_TOL, Grid, clusters, column_events, column_roots
 
 __all__ = ["IntervalNote", "ScanResult", "scan_detailed"]
 
@@ -101,9 +101,8 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     # Exact zeros of denominators and of sqrt/ln arguments are seeds too:
     # holes the grid can sail straight past without a definedness flip.
     # Only a sign change is bisected, so only it needs the slot's subtree.
-    # No domain scan reads small values, so none are collected.
     for slot in tape.domain_slots():
-        events = grid.events_of(slot, NO_BAND)
+        events = column_events(grid.columns[slot])
         value_at = lower(tape.nodes[slot]).value if events.changes else None
         seeds += column_roots(xs, grid.columns[slot], events, value_at)
 

@@ -21,7 +21,7 @@ __all__ = [
     "Provenance", "TangentPoint", "RootScan", "Events", "Grid",
     "grid_points", "column_events", "clusters", "column_roots", "scan_roots",
     "combine_tangent_points",
-    "DEFAULT_GRID_N", "DEDUP_TOL", "NO_BAND",
+    "DEFAULT_GRID_N", "DEDUP_TOL",
 ]
 
 DEFAULT_GRID_N = 4096
@@ -32,7 +32,6 @@ DEDUP_TOL = 1e-9
 # and small there; a pole crossing fails this and is discarded.
 ROOT_RESIDUAL_TOL = 1e-6
 UNCONFIRMED_BAND = 1e-10
-NO_BAND = 5e-324  # 0 < |v| < NO_BAND holds for no float
 REPAIR_TOL = 1e-6
 
 
@@ -77,16 +76,16 @@ class Events:
     flips: list[int]    # defined at one of i and i+1, NaN at the other
     zeros: list[int]    # an exact zero at i
     changes: list[int]  # strictly opposite signs at i and i+1
-    small: list[int]    # 0 < |value| < band at i, see column_events
+    small: list[int]    # 0 < |value| < UNCONFIRMED_BAND at i
 
 
-def column_events(col: list[float], band: float = UNCONFIRMED_BAND) -> Events:
-    """The events of a column with NaN where undefined, small values being
-    those with 0 < |value| < band (NO_BAND: none).  C-level summaries
+def column_events(col: list[float]) -> Events:
+    """The events of a column with NaN where undefined.  C-level summaries
     decide where to look: a finite sum means no NaN; otherwise one `v != v`
     pass gives the NaN runs, whose edges are the flips.  A NaN-free stretch
-    with one strict sign holds no zero and no sign change, and, beyond the
-    band, no small value either: it is skipped.  Only the rest is walked."""
+    with one strict sign holds no zero and no sign change, and, beyond
+    UNCONFIRMED_BAND, no small value either: it is skipped.  Only the rest
+    is walked."""
     n = len(col)
     runs = []  # [a, b): the NaN runs
     if not math.isfinite(sum(col)):  # a NaN, or a sum that overflowed
@@ -107,7 +106,7 @@ def column_events(col: list[float], band: float = UNCONFIRMED_BAND) -> Events:
     zeros: list[int] = []
     changes: list[int] = []
     small: list[int] = []
-    neg_band = -band
+    band, neg_band = UNCONFIRMED_BAND, -UNCONFIRMED_BAND
     for s, e in zip(edges[::2], edges[1::2]):  # the NaN-free stretches
         if s == e:
             continue
@@ -133,19 +132,20 @@ def column_events(col: list[float], band: float = UNCONFIRMED_BAND) -> Events:
 
 class Grid:
     """fp lowered once and sampled in one pass at the grid nodes no
-    enclosure certifies (see _dense_stretches): of grid_n steps over iv, or
-    lo alone if iv is a point.  `nodes` are their ascending indices into
+    enclosure certifies (see _kept_nodes): of grid_n steps over iv, or lo
+    alone if iv is a point.  `nodes` are their ascending indices into
     grid_points(iv, grid_n), `xs` their points, and `columns` the columns of
-    fp (slot `tape.root`) and of its domain-sensitive nodes at them.  The
-    nodes fall into `stretches`, ascending runs of consecutive indices that
-    neither overlap nor touch, and an event of a column is found stretch by
-    stretch, so the pair i, i+1 of a flip or a sign change is always one
-    cell of the grid.  A hole on a node that a range is split at adds only
-    that node and its two neighbours to the nodes: over the paper corpus a
-    4,097-node grid evaluates 15.2 nodes and takes 6.05 enclosures on
-    average.  fp's `events` are found once; the grid scans read only these."""
+    fp (slot `tape.root`) and of its domain-sensitive nodes at them.  Two
+    consecutive nodes that are not neighbours on the grid have only pruned
+    ranges between them, which certify both to be defined with the same
+    strict sign in every scanned column: so the pair i, i+1 of a flip or a
+    sign change found over a whole column is always one cell of the grid.
+    A hole on a node that a range is split at adds only that node and its
+    two neighbours to the nodes: over the paper corpus a 4,097-node grid
+    evaluates 15.2 nodes and takes 6.05 enclosures on average.  fp's
+    `events` are found once; the grid scans read only these."""
 
-    __slots__ = ("tape", "iv", "nodes", "xs", "stretches", "columns", "events")
+    __slots__ = ("tape", "iv", "nodes", "xs", "columns", "events")
 
     def __init__(self, fp: Expr, iv: Interval, grid_n: int):
         if grid_n < 2:
@@ -153,24 +153,12 @@ class Grid:
         self.tape = tape = lower(fp)
         self.iv = iv
         if iv.lo == iv.hi:
-            self.stretches, self.nodes, self.xs = [(0, 0)], [0], [iv.lo]
+            self.nodes, self.xs = [0], [iv.lo]
         else:
-            self.stretches = _dense_stretches(tape, iv, grid_n)
-            self.nodes = [k for s, e in self.stretches for k in range(s, e + 1)]
+            self.nodes = _kept_nodes(tape, iv, grid_n)
             self.xs = grid_points(iv, grid_n, self.nodes)
         self.columns = tape.columns(self.xs, tape.domain_slots())
-        self.events = self.events_of(tape.root)
-
-    def events_of(self, slot: int, band: float = UNCONFIRMED_BAND) -> Events:
-        """column_events of slot's column, stretch by stretch, as indices
-        into `xs`."""
-        col, found, start = self.columns[slot], Events([], [], [], []), 0
-        for s, e in self.stretches:
-            end = start + e - s + 1
-            for into, events in zip(found, column_events(col[start:end], band)):
-                into += [i + start for i in events]
-            start = end
-        return found
+        self.events = column_events(self.columns[tape.root])
 
 
 # The fewest grid cells whose enclosure is worth its cost.  One enclosure of
@@ -194,27 +182,26 @@ def _exponent_reads_x(tape: Tape) -> bool:
     return False
 
 
-def _dense_stretches(tape: Tape, iv: Interval, n: int) -> list[tuple[int, int]]:
-    """The nodes of n steps over iv that must be evaluated, as ascending
-    runs (s, e) of node indices s..e, found by dyadic recursion over ranges
-    of cells, level by level.  A range is pruned where the enclosures over
-    its nodes' points certify that fp is defined with one strict sign and
-    |fp| >= UNCONFIRMED_BAND, and that every domain slot is defined with one
-    strict sign: none of its nodes or cells can then hold an event of a
-    scanned column.  A range that is not pruned is split at its middle node
-    m, which one run tests.  Where fp is undefined or small at m, or a
-    domain slot is 0 there, no range with the end m can be pruned, so m is
+def _kept_nodes(tape: Tape, iv: Interval, n: int) -> list[int]:
+    """The ascending indices of the nodes of n steps over iv that must be
+    evaluated, found by dyadic recursion over ranges of cells, level by
+    level.  A range is pruned where the enclosures over its nodes' points
+    certify that fp is defined with one strict sign and |fp| >=
+    UNCONFIRMED_BAND, and that every domain slot is defined with one strict
+    sign: none of its nodes or cells can then hold an event of a scanned
+    column.  A range that is not pruned is split at its middle node m,
+    which one run tests.  Where fp is undefined or small at m, or a domain
+    slot is 0 there, no range with the end m can be pruned, so m is
     *troubled*: its two cells are kept, and every later range is enclosed
     over its nodes without its troubled ends.  A hole on a node thus costs
     one run, not a chain of ranges down to MIN_RANGE on both sides of it.
     Ranges under MIN_RANGE cells, and all ranges once the grid has had
     n // MIN_RANGE enclosures, are kept whole, and so is the whole grid
-    where fp has a ^ with an exponent in x.  Kept ranges that overlap or
-    touch merge into one run."""
+    where fp has a ^ with an exponent in x."""
     if not math.isfinite(n * (iv.hi - iv.lo)) or _exponent_reads_x(tape):
         # Weighed endpoints need not ascend, so no range is bounded by its
         # ends; and nothing that reads a power with an exponent in x certifies.
-        return [(0, n)]
+        return list(range(n + 1))
     root, domain = tape.root, tape.domain_slots()
     budget = n // MIN_RANGE
     troubled: set[int] = set()
@@ -241,13 +228,7 @@ def _dense_stretches(tape: Tape, iv: Interval, n: int) -> list[tuple[int, int]]:
                         troubled.add(m)
                         kept.append((m - 1, m + 1))
         level = deeper
-    stretches: list[tuple[int, int]] = []
-    for a, b in sorted(kept):
-        if stretches and stretches[-1][1] >= a:
-            stretches[-1] = (stretches[-1][0], max(stretches[-1][1], b))
-        else:
-            stretches.append((a, b))
-    return stretches
+    return sorted({k for a, b in kept for k in range(a, b + 1)})
 
 
 def clusters(items, x) -> list[list]:

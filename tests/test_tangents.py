@@ -10,7 +10,7 @@ from deriv_audit.expr import HUGE, Interval, Tape, evaluate, lower, parse
 from deriv_audit.probe import classify, probe
 from deriv_audit.report import analyze
 from deriv_audit.tangents import (
-    DEFAULT_GRID_N, MIN_RANGE, NO_BAND, UNCONFIRMED_BAND, Grid, Provenance, column_events,
+    DEFAULT_GRID_N, MIN_RANGE, UNCONFIRMED_BAND, Grid, Provenance, column_events,
     grid_points, scan_roots,
 )
 from helpers import random_expr, reference_events
@@ -174,12 +174,23 @@ def _assert_matches_dense(grid, n):
     at the nodes it keeps, every event of f' (all four lists) and every
     flip, zero and sign change of each domain slot, at the same nodes; and
     each flip or sign change is one cell of the grid.  The nodes ascend
-    strictly, and stretches that overlap or touch are one stretch."""
+    strictly, and two consecutive ones that are not neighbours on the grid
+    hold f' defined with one strict sign and |f'| >= UNCONFIRMED_BAND, and
+    each domain slot defined with one strict sign: the gap between them can
+    hold no event, so events over a whole column are those of the dense
+    grid."""
     tape, iv = grid.tape, grid.iv
     xs = grid_points(iv, n)
     dense = tape.columns(xs, tape.domain_slots())
     assert grid.nodes == sorted(set(grid.nodes))
-    assert all(e < s for (_, e), (s, _) in zip(grid.stretches, grid.stretches[1:]))
+    gaps = [p for p, (i, j) in enumerate(zip(grid.nodes, grid.nodes[1:])) if j > i + 1]
+    for p in gaps:
+        u, v = grid.columns[tape.root][p:p + 2]
+        assert u > 0.0 and v > 0.0 or u < 0.0 and v < 0.0
+        assert abs(u) >= UNCONFIRMED_BAND and abs(v) >= UNCONFIRMED_BAND
+        for slot in tape.domain_slots():
+            u, v = grid.columns[slot][p:p + 2]
+            assert u > 0.0 and v > 0.0 or u < 0.0 and v < 0.0
     assert [_bits(x) for x in grid.xs] == [_bits(xs[k]) for k in grid.nodes]
     for slot in [tape.root, *tape.domain_slots()]:
         assert [_bits(v) for v in grid.columns[slot]] == [_bits(dense[slot][k]) for k in grid.nodes]
@@ -191,8 +202,7 @@ def _assert_matches_dense(grid, n):
 
     assert at_nodes(grid.events) == reference_events(dense[tape.root])
     for slot in tape.domain_slots():
-        events = grid.events_of(slot, NO_BAND)
-        assert events.small == []
+        events = column_events(grid.columns[slot])
         assert at_nodes(events)[:3] == reference_events(dense[slot])[:3]
 
 
@@ -299,20 +309,29 @@ class TestPrunedGrid:
         # The troubled middle node keeps (2047, 2049), and the half after it
         # is split down to (2048, 2064), which the hole at 0.004 keeps whole.
         grid = _default_grid("cbrt(x)*cbrt(x-0.004)")
-        assert grid.stretches == [(2047, 2080)]
+        assert grid.nodes == list(range(2047, 2081))
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     @pytest.mark.parametrize("text", ["x^x", "(1.27+x)^x", "2^sin(x)"])
     def test_an_exponent_in_x_skips_every_enclosure(self, text, enclosures):
         # such a power is uncertified on every range, and so is the root
         grid = _default_grid(text)
-        assert enclosures[0] == 0 and grid.stretches == [(0, DEFAULT_GRID_N)]
+        assert enclosures[0] == 0 and grid.nodes == list(range(DEFAULT_GRID_N + 1))
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     def test_a_constant_exponent_not_yet_folded_is_enclosed(self, enclosures):
         grid = Grid(parse("x^(1+1)"), IV, DEFAULT_GRID_N)
         assert enclosures[0] > 0 and len(grid.nodes) <= 3
         _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    def test_a_range_certified_whole_evaluates_no_node(self, enclosures):
+        # f' = 2 is certified over the whole grid by its first enclosure
+        grid = Grid(parse("2*x+3"), IV, DEFAULT_GRID_N)
+        assert grid.nodes == [] and grid.xs == [] and enclosures[0] == 1
+        assert tuple(grid.events) == ([], [], [], [])
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+        report = analyze("x^2+3*x", IV)
+        assert report.tangents == () and report.candidates == () and report.interval_notes == ()
 
     def test_point_interval_is_its_one_node(self):
         grid = Grid(parse("1/x"), Interval(-0.0, -0.0), DEFAULT_GRID_N)
