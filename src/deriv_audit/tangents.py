@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from collections.abc import Sequence
-from itertools import count
 
 from .expr import Expr, Interval, Tape, lower, record
 from .probe import Differentiable
@@ -80,53 +78,24 @@ class Events:
 
 
 def column_events(col: list[float]) -> Events:
-    """The events of a column with NaN where undefined.  C-level summaries
-    decide where to look: a finite sum means no NaN; otherwise one `v != v`
-    pass gives the NaN runs, whose edges are the flips.  A NaN-free stretch
-    with one strict sign holds no zero and no sign change, and, beyond
-    UNCONFIRMED_BAND, no small value either: it is skipped.  Only the rest
-    is walked."""
-    n = len(col)
-    runs = []  # [a, b): the NaN runs
-    if not math.isfinite(sum(col)):  # a NaN, or a sum that overflowed
-        nan = list(map(operator.ne, col, col))
-        b = 0
-        while True:
-            try:
-                a = nan.index(True, b)
-            except ValueError:
-                break
-            try:
-                b = nan.index(False, a)
-            except ValueError:
-                b = n
-            runs.append((a, b))
-    edges = [0, *(k for run in runs for k in run), n]
-    flips = [k - 1 for k in edges[1:-1] if 0 < k < n]
+    """The events of a column with NaN where undefined, in one walk that
+    compares each value with the one before it."""
+    flips: list[int] = []
     zeros: list[int] = []
     changes: list[int] = []
     small: list[int] = []
     band, neg_band = UNCONFIRMED_BAND, -UNCONFIRMED_BAND
-    for s, e in zip(edges[::2], edges[1::2]):  # the NaN-free stretches
-        if s == e:
-            continue
-        seg = col[s:e]
-        lo = min(seg)
-        if lo >= band:
-            continue
-        hi = max(seg)
-        if hi <= neg_band:
-            continue
-        # The walk; `and` over plain comparisons runs faster than a chain.
-        near = [i for i, v in zip(count(s), seg) if v < band and v > neg_band]
-        if lo > 0.0 or hi < 0.0:  # one strict sign: no zero, no sign change
-            small += near
-            continue
-        zeros += [i for i in near if col[i] == 0.0]
-        small += [i for i in near if col[i] != 0.0]
-        if lo < 0.0 < hi:
-            changes += [i for i, u, v in zip(count(s), seg, seg[1:])
-                        if (u > 0.0 and v < 0.0) or (u < 0.0 and v > 0.0)]
+    u = col[0] if col else 0.0  # the first value has no cell before it
+    for i, v in enumerate(col):
+        if (u != u) != (v != v):
+            flips.append(i - 1)
+        elif u > 0.0 > v or u < 0.0 < v:  # false where either is NaN
+            changes.append(i - 1)
+        if v == 0.0:
+            zeros.append(i)
+        elif neg_band < v < band:
+            small.append(i)
+        u = v
     return Events(flips, zeros, changes, small)
 
 
@@ -136,14 +105,14 @@ class Grid:
     alone if iv is a point.  `nodes` are their ascending indices into
     grid_points(iv, grid_n), `xs` their points, and `columns` the columns of
     fp (slot `tape.root`) and of its domain-sensitive nodes at them.  Two
-    consecutive nodes that are not neighbours on the grid have only pruned
-    ranges between them, which certify both to be defined with the same
-    strict sign in every scanned column: so the pair i, i+1 of a flip or a
-    sign change found over a whole column is always one cell of the grid.
-    A hole on a node that a range is split at adds only that node and its
-    two neighbours to the nodes: over the paper corpus a 4,097-node grid
-    evaluates 15.2 nodes and takes 6.05 enclosures on average.  fp's
-    `events` are found once; the grid scans read only these."""
+    consecutive nodes that are not neighbours on the grid are the inner
+    end nodes a+1 and b-1 of one pruned range, whose enclosure certifies
+    both, and every point between them, to be defined with the same strict
+    sign in every scanned column: so the pair i, i+1 of a flip or a sign
+    change found over a whole column is always one cell of the grid.  Over
+    the paper corpus a 4,097-node grid evaluates 21.2 nodes and takes 6.05
+    enclosures on average.  fp's `events` are found once; the grid scans
+    read only these."""
 
     __slots__ = ("tape", "iv", "nodes", "xs", "columns", "events")
 
@@ -185,26 +154,22 @@ def _exponent_reads_x(tape: Tape) -> bool:
 def _kept_nodes(tape: Tape, iv: Interval, n: int) -> list[int]:
     """The ascending indices of the nodes of n steps over iv that must be
     evaluated, found by dyadic recursion over ranges of cells, level by
-    level.  A range is pruned where the enclosures over its nodes' points
-    certify that fp is defined with one strict sign and |fp| >=
-    UNCONFIRMED_BAND, and that every domain slot is defined with one strict
-    sign: none of its nodes or cells can then hold an event of a scanned
-    column.  A range that is not pruned is split at its middle node m,
-    which one run tests.  Where fp is undefined or small at m, or a domain
-    slot is 0 there, no range with the end m can be pruned, so m is
-    *troubled*: its two cells are kept, and every later range is enclosed
-    over its nodes without its troubled ends.  A hole on a node thus costs
-    one run, not a chain of ranges down to MIN_RANGE on both sides of it.
-    Ranges under MIN_RANGE cells, and all ranges once the grid has had
-    n // MIN_RANGE enclosures, are kept whole, and so is the whole grid
-    where fp has a ^ with an exponent in x."""
+    level.  A range (a, b) is enclosed over its inner nodes a+1 ... b-1
+    alone, so no end node, where a hole may sit, can block it.  It is
+    pruned where the enclosure certifies that fp is defined with one strict
+    sign and |fp| >= UNCONFIRMED_BAND, and that every domain slot is
+    defined with one strict sign: then only its two end cells, (a, a+1)
+    and (b-1, b), are kept, and no node or cell between a+1 and b-1 can
+    hold an event of a scanned column.  A range that is not pruned is split
+    at its middle node.  Ranges under MIN_RANGE cells, and all ranges once
+    the grid has had n // MIN_RANGE enclosures, are kept whole, and so is
+    the whole grid where fp has a ^ with an exponent in x."""
     if not math.isfinite(n * (iv.hi - iv.lo)) or _exponent_reads_x(tape):
         # Weighed endpoints need not ascend, so no range is bounded by its
         # ends; and nothing that reads a power with an exponent in x certifies.
         return list(range(n + 1))
     root, domain = tape.root, tape.domain_slots()
     budget = n // MIN_RANGE
-    troubled: set[int] = set()
     kept: list[tuple[int, int]] = []
     level = [(0, n)]
     while level:
@@ -214,19 +179,14 @@ def _kept_nodes(tape: Tape, iv: Interval, n: int) -> list[int]:
                 kept.append((a, b))
                 continue
             budget -= 1
-            encs = tape.enclose(*grid_points(iv, n, (a + (a in troubled), b - (b in troubled))))
+            encs = tape.enclose(*grid_points(iv, n, (a + 1, b - 1)))
             f = encs[root]
             if (f is None or f[0] < UNCONFIRMED_BAND and f[1] > -UNCONFIRMED_BAND
                     or any(encs[k] is None or encs[k][0] <= 0.0 <= encs[k][1] for k in domain)):
                 m = (a + b) // 2
                 deeper += [(a, m), (m, b)]
-                if b - m >= MIN_RANGE:  # else neither half is enclosed
-                    vals = tape.run(grid_points(iv, n, (m,))[0])
-                    v = vals[root]
-                    if (v is None or -UNCONFIRMED_BAND < v < UNCONFIRMED_BAND
-                            or any(vals[k] == 0.0 for k in domain)):
-                        troubled.add(m)
-                        kept.append((m - 1, m + 1))
+            else:
+                kept += [(a, a + 1), (b - 1, b)]
         level = deeper
     return sorted({k for a, b in kept for k in range(a, b + 1)})
 

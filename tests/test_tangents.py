@@ -246,10 +246,11 @@ class TestPrunedGrid:
            k=st.integers(-2048, 2048), n=st.sampled_from([64, 512, 4096]))
     @example(family=FAMILIES[0], a=0.0, k=0, n=4096)
     def test_hole_families_match_the_dense_grid(self, family, a, k, n):
-        # a on a grid node (a dyadic k/1024) or anywhere
+        # a on a grid node (a dyadic k/1024) or anywhere; and a at node 0
         for shift in (a, k / 1024):
             fp = differentiate(parse(family.format(a=repr(shift)))).simplified
-            _assert_matches_dense(Grid(fp, Interval(shift - 1, shift + 1), n), n)
+            for iv in (Interval(shift - 1, shift + 1), Interval(shift, shift + 1)):
+                _assert_matches_dense(Grid(fp, iv, n), n)
 
     @pytest.mark.parametrize("fp", [
         "1e-12*(x^2+1)",  # one strict sign, but every node small
@@ -262,9 +263,11 @@ class TestPrunedGrid:
             _assert_matches_dense(Grid(parse(fp), IV, n), n)
 
     def test_worked_example_evaluates_few_nodes(self):
+        # the hole at the middle node and its neighbours, and the two end
+        # cells of each pruned half
         grid = _default_grid("cbrt(x)*sin(x^2)")
         _assert_matches_dense(grid, DEFAULT_GRID_N)
-        assert len(grid.nodes) <= 3
+        assert len(grid.nodes) <= 7
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_an_event_on_the_middle_node_is_isolated_in_one_split(self, family, enclosures):
@@ -276,7 +279,7 @@ class TestPrunedGrid:
         for a in [0.0] if only_zero else [0.0, 0.5, -0.75, 1.25, 7 / 1024]:
             enclosures[0] = 0
             grid = _default_grid(family.format(a=repr(a)), Interval(a - 1, a + 1))
-            assert enclosures[0] <= 3 and len(grid.nodes) <= 3
+            assert enclosures[0] <= 3 and len(grid.nodes) <= 7
             _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     @pytest.mark.parametrize("fp", [
@@ -286,7 +289,7 @@ class TestPrunedGrid:
     ])
     def test_each_kind_of_troubled_middle_node_is_isolated(self, fp, enclosures):
         grid = Grid(parse(fp), IV, DEFAULT_GRID_N)
-        assert enclosures[0] <= 3 and len(grid.nodes) <= 3
+        assert enclosures[0] <= 3 and len(grid.nodes) <= 7
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     @pytest.mark.parametrize("c, level", [(0.0, 0), (0.5, 1), (-0.5, 1), (0.25, 2), (-0.75, 2),
@@ -294,22 +297,27 @@ class TestPrunedGrid:
     def test_a_hole_on_a_split_node_costs_two_enclosures_a_level(self, c, level, enclosures):
         # c is first a split node at `level`, 0 for the middle node: each
         # level above it has one range with c inside to split, and at its
-        # level the two halves beside it are pruned without it.
+        # level the two halves beside it are pruned over their inner nodes.
+        # Each pruned range keeps its two end cells.
         grid = _default_grid(f"cbrt(x-{c!r})")
-        assert enclosures[0] <= 2 * level + 3 and len(grid.nodes) <= 3
+        assert enclosures[0] <= 2 * level + 3 and len(grid.nodes) <= 3 * level + 7
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     @pytest.mark.parametrize("c", ["0.3", "1/3"])
     def test_a_hole_between_nodes_costs_no_more_than_before(self, c, enclosures):
         grid = _default_grid(f"cbrt(x-{c})")
-        assert enclosures[0] <= 15 and len(grid.nodes) <= 33
+        assert enclosures[0] <= 15 and len(grid.nodes) <= 54
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     def test_overlapping_kept_ranges_merge(self):
-        # The troubled middle node keeps (2047, 2049), and the half after it
-        # is split down to (2048, 2064), which the hole at 0.004 keeps whole.
+        # The half before the hole at the middle node 2048 is pruned and
+        # keeps its end cells (0, 1) and (2047, 2048).  The half after it is
+        # split down to (2048, 2080), which the hole at 0.004 keeps whole;
+        # the pruned ranges beyond, from (2080, 2112) to (3072, 4096), each
+        # keep their two end cells.
         grid = _default_grid("cbrt(x)*cbrt(x-0.004)")
-        assert grid.nodes == list(range(2047, 2081))
+        assert grid.nodes == [0, 1, *range(2047, 2082), 2111, 2112, 2113, 2175, 2176, 2177,
+                              2303, 2304, 2305, 2559, 2560, 2561, 3071, 3072, 3073, 4095, 4096]
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     @pytest.mark.parametrize("text", ["x^x", "(1.27+x)^x", "2^sin(x)"])
@@ -321,17 +329,44 @@ class TestPrunedGrid:
 
     def test_a_constant_exponent_not_yet_folded_is_enclosed(self, enclosures):
         grid = Grid(parse("x^(1+1)"), IV, DEFAULT_GRID_N)
-        assert enclosures[0] > 0 and len(grid.nodes) <= 3
+        assert enclosures[0] > 0 and len(grid.nodes) <= 7
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     def test_a_range_certified_whole_evaluates_no_node(self, enclosures):
-        # f' = 2 is certified over the whole grid by its first enclosure
+        # f' = 2 is certified over the whole grid by its first enclosure:
+        # only its two end cells are evaluated
         grid = Grid(parse("2*x+3"), IV, DEFAULT_GRID_N)
-        assert grid.nodes == [] and grid.xs == [] and enclosures[0] == 1
+        assert grid.nodes == [0, 1, 4095, 4096] and enclosures[0] == 1
         assert tuple(grid.events) == ([], [], [], [])
         _assert_matches_dense(grid, DEFAULT_GRID_N)
         report = analyze("x^2+3*x", IV)
         assert report.tangents == () and report.candidates == () and report.interval_notes == ()
+
+    @pytest.mark.parametrize("text, iv", [
+        ("cbrt(x)*sin(x^2)", Interval(0, 1)), ("sqrt(x)", Interval(0, 1)),
+        ("cbrt(x)", Interval(-1, 0)),
+    ])
+    def test_a_hole_at_an_end_of_the_interval_costs_one_enclosure(self, text, iv, enclosures):
+        # the whole range is enclosed without its end nodes, and pruned
+        grid = _default_grid(text, iv)
+        assert enclosures[0] == 1 and grid.nodes == [0, 1, 4095, 4096]
+        _assert_matches_dense(grid, DEFAULT_GRID_N)
+
+    @pytest.mark.parametrize("text", [*(family.format(a=a) for family in FAMILIES
+                                        for a in ("0.0", "0.3")),
+                                      "3", "x^2/x^2", "tan(10*x)"])
+    def test_a_grid_makes_no_scalar_run(self, text, monkeypatch):
+        # every evaluated node is in the one Tape.columns call
+        runs = [0]
+        run = Tape.run
+
+        def counted(self, x):
+            runs[0] += 1
+            return run(self, x)
+
+        monkeypatch.setattr(Tape, "run", counted)
+        _default_grid(text)
+        assert runs[0] == 0
 
     def test_point_interval_is_its_one_node(self):
         grid = Grid(parse("1/x"), Interval(-0.0, -0.0), DEFAULT_GRID_N)
