@@ -21,67 +21,70 @@ __all__ = ["DerivativeResult", "differentiate", "simplify"]
 
 @record
 class DerivativeResult:
-    raw: Expr
     simplified: Expr
 
 
 def differentiate(e: Expr) -> DerivativeResult:
-    """The rule output for e, and its simplification.  One loop over
-    post_order(e) gives each distinct node its derivative from its
-    operands' (`_d`), so depth is unbounded and a shared subtree is
-    differentiated once."""
-    d: dict[int, Expr] = {}  # by id: e holds every node, so ids stay unique
+    """The rule output for e, simplified as it is built: one loop over
+    post_order(e) settles each distinct node (`_rebuilt`) and derives it
+    from its operands (`_d`), so no unsimplified rule tree is built, depth
+    is unbounded and a shared subtree is differentiated once."""
+    s: dict[int, Expr] = {}  # by id: e holds every node, so ids stay unique
+    d: dict[int, Expr] = {}
     for node, kids in post_order(e):
-        d[id(node)] = _d(node, *[d[id(k)] for k in kids])
-    raw = d[id(e)]
-    return DerivativeResult(raw=raw, simplified=simplify(raw))
+        s[id(node)] = _rebuilt(node, kids, s)
+        d[id(node)] = _d(node, kids, s, d)
+    return DerivativeResult(d[id(e)])
 
 
-def _d(e: Expr, da: Expr | None = None, db: Expr | None = None) -> Expr:
-    """The derivative of e by its rule, given the derivatives da and db of
-    its operands, in children(e) order."""
-    if isinstance(e, Constant):
-        return Constant(0)
-    if isinstance(e, Variable):
-        return Constant(1)
+def _d(e: Expr, kids: tuple[Expr, ...], s: dict[int, Expr], d: dict[int, Expr]) -> Expr:
+    """The derivative of e by its rule, each node settled as it is built
+    from settled parts: e and its operands `kids` as simplified in `s`,
+    their derivatives in `d` (both by id).  The rule is picked by e's shape,
+    not its settled one: `x^(1+1)` keeps the general rule and ln(x)'s hole."""
+    if not kids:
+        return Constant(1 if isinstance(e, Variable) else 0)
+    a, da = s[id(kids[0])], d[id(kids[0])]
+    b, db = s[id(kids[-1])], d[id(kids[-1])]  # b is a for a unary node
     if isinstance(e, Neg):
-        return Neg(da)
+        return _settle(Neg(da))
     if isinstance(e, Add):
-        return Add(da, db)
+        return _settle(Add(da, db))
     if isinstance(e, Sub):
-        return Sub(da, db)
+        return _settle(Sub(da, db))
     if isinstance(e, Mul):
-        return Add(Mul(da, e.right), Mul(e.left, db))
+        return _settle(Add(_settle(Mul(da, b)), _settle(Mul(a, db))))
     if isinstance(e, Div):
-        num = Sub(Mul(da, e.right), Mul(e.left, db))
-        return Div(num, Pow(e.right, Constant(2)))
+        num = _settle(Sub(_settle(Mul(da, b)), _settle(Mul(a, db))))
+        return _settle(Div(num, _settle(Pow(b, Constant(2)))))
     if isinstance(e, Pow):
-        u, v = e.base, e.exponent
-        if isinstance(v, Constant):
-            return Mul(Mul(v, Pow(u, Constant(v.value - 1.0))), da)
+        if isinstance(e.exponent, Constant):
+            return _settle(Mul(_settle(Mul(b, _settle(Pow(a, Constant(b.value - 1.0))))), da))
         # general exponent: u^v * (v' ln u + v u'/u)
-        return Mul(e, Add(Mul(db, Func("ln", u)), Mul(v, Div(da, u))))
+        ln_term = _settle(Mul(db, _settle(Func("ln", a))))
+        return _settle(Mul(s[id(e)], _settle(Add(ln_term, _settle(Mul(b, _settle(Div(da, a))))))))
     assert isinstance(e, Func)
-    u, du = e.arg, da
+    u, du = a, da
     if e.name == "sin":
-        return Mul(Func("cos", u), du)
+        return _settle(Mul(_settle(Func("cos", u)), du))
     if e.name == "cos":
-        return Mul(Neg(Func("sin", u)), du)
+        return _settle(Mul(_settle(Neg(_settle(Func("sin", u)))), du))
     if e.name == "tan":
-        return Div(du, Pow(Func("cos", u), Constant(2)))
+        return _settle(Div(du, _settle(Pow(_settle(Func("cos", u)), Constant(2)))))
     if e.name == "exp":
-        return Mul(Func("exp", u), du)
+        return _settle(Mul(_settle(Func("exp", u)), du))
     if e.name == "ln":
-        return Div(du, u)
+        return _settle(Div(du, u))
     if e.name == "sqrt":
-        return Div(du, Mul(Constant(2), Func("sqrt", u)))
+        return _settle(Div(du, _settle(Mul(Constant(2), _settle(Func("sqrt", u))))))
     if e.name == "cbrt":
         # denominator form on purpose: the hole at u = 0 must surface as a
         # division by zero, not hide inside a fractional power
-        return Div(du, Mul(Constant(3), Func("cbrt", Pow(u, Constant(2)))))
+        root = _settle(Func("cbrt", _settle(Pow(u, Constant(2)))))
+        return _settle(Div(du, _settle(Mul(Constant(3), root))))
     assert e.name == "abs"
     # u/abs(u) rather than sign(u): the corner at u = 0 stays visible
-    return Div(Mul(du, u), Func("abs", u))
+    return _settle(Div(_settle(Mul(du, u)), _settle(Func("abs", u))))
 
 
 # --------------------------------------------------------------------------
@@ -90,20 +93,23 @@ def _d(e: Expr, da: Expr | None = None, db: Expr | None = None) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Apply the domain-preserving rewrites until none applies, in one loop
     over post_order(e), so depth is unbounded.  Each distinct node is
-    rebuilt from its simplified operands, then settled (`_settle`); a shared
+    rebuilt from its simplified operands and settled (`_rebuilt`); a shared
     subtree is simplified once."""
     done: dict[int, Expr] = {}  # by id: e holds every node, so ids stay unique
     for node, kids in post_order(e):
-        key = id(node)
-        if kids:
-            a, b = kids[0], kids[-1]  # b is a for a unary node
-            a2, b2 = done[id(a)], done[id(b)]
-            if a2 is not a or b2 is not b:
-                kids = (a2, b2)[:len(kids)]
-                node = Func(node.name, a2) if isinstance(node, Func) else type(node)(*kids)
-            node = _settle(node, kids)
-        done[key] = node
+        done[id(node)] = _rebuilt(node, kids, done)
     return done[id(e)]
+
+
+def _rebuilt(node: Expr, kids: tuple[Expr, ...], done: dict[int, Expr]) -> Expr:
+    """node rebuilt from its operands `kids` as simplified in `done` (by
+    id), then settled.  A node whose operands are unchanged is kept."""
+    if not kids:
+        return node
+    a, b = done[id(kids[0])], done[id(kids[-1])]  # b is a for a unary node
+    if a is not kids[0] or b is not kids[-1]:
+        node = Func(node.name, a) if isinstance(node, Func) else type(node)(*(a, b)[:len(kids)])
+    return _settle(node)
 
 
 def is_everywhere_defined(e: Expr) -> bool:
@@ -143,19 +149,15 @@ def _is_const(e: Expr, v: float) -> bool:
 def _rewrite(e: Expr) -> Expr:
     if isinstance(e, Neg) and isinstance(e.arg, Neg):
         return e.arg.arg
-    if isinstance(e, Add):
-        if _is_const(e.right, 0.0):
-            return e.left
-        if _is_const(e.left, 0.0):
-            return e.right
-    if isinstance(e, Sub):
-        if _is_const(e.right, 0.0):
-            return e.left
-        if _is_const(e.left, 0.0):
-            return Neg(e.right)
+    if isinstance(e, (Add, Sub)) and _is_const(e.right, 0.0):
+        return e.left
+    if isinstance(e, Add) and _is_const(e.left, 0.0):
+        return e.right
+    if isinstance(e, Sub) and _is_const(e.left, 0.0):
+        return Neg(e.right)
+    if isinstance(e, (Mul, Div)) and _is_const(e.right, 1.0):
+        return e.left
     if isinstance(e, Mul):
-        if _is_const(e.right, 1.0):
-            return e.left
         if _is_const(e.left, 1.0):
             return e.right
         # 0 * u == 0 only when u cannot be undefined anywhere
@@ -168,8 +170,6 @@ def _rewrite(e: Expr) -> Expr:
         b = _positive_int_exponent(e.right)
         if a is not None and b is not None and e.left.base == e.right.base:  # type: ignore[union-attr]
             return Pow(e.left.base, Constant(a + b))  # type: ignore[union-attr]
-    if isinstance(e, Div) and _is_const(e.right, 1.0):
-        return e.left
     if isinstance(e, Pow):
         if _is_const(e.exponent, 1.0):
             return e.base
@@ -182,11 +182,11 @@ def _rewrite(e: Expr) -> Expr:
     return e
 
 
-def _settle(e: Expr, kids: tuple[Expr, ...]) -> Expr:
-    """Fold or rewrite e, whose operands `kids` are simplified, until no
-    rule applies.  A rewrite keeps only simplified subtrees, or wraps them
-    in one new node, so only the top needs another look."""
-    while kids:
+def _settle(e: Expr) -> Expr:
+    """Fold or rewrite e, whose operands are simplified, until no rule
+    applies.  A rewrite keeps only simplified subtrees, or wraps them in
+    one new node, so only the top needs another look."""
+    while kids := children(e):
         folded = _fold_constant(e, kids)
         if folded is not None:
             return folded
@@ -194,5 +194,4 @@ def _settle(e: Expr, kids: tuple[Expr, ...]) -> Expr:
         if rewritten is e:
             return e
         e = rewritten
-        kids = children(e)
     return e

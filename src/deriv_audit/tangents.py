@@ -134,7 +134,7 @@ class Grid:
 # a tape costs as much as its dense columns at 10 to 25 nodes (15 in the
 # median over the paper corpus' derivatives), so a range is enclosed from 32
 # cells up, and a grid gets at most grid_n / 32 enclosures: where nothing
-# certifies, they cost about half of the dense pass they fail to prune.
+# certifies, they cost about 0.85 of the dense pass they fail to prune.
 MIN_RANGE = 32
 
 

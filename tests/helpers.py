@@ -453,8 +453,9 @@ class _Parser:
 
 
 def reference_d(e: Expr) -> Expr:
-    """The recursive rule pass that `differentiate`'s loop over post_order
-    replaced, kept as the oracle it is tested against."""
+    """The unsimplified rule tree, built by recursion: the oracle that
+    `differentiate`'s one pass over post_order, which settles each node as
+    it builds it, is tested against as `simplify(reference_d(e))`."""
     if isinstance(e, Constant):
         return Constant(0)
     if isinstance(e, Variable):

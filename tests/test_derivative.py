@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from deriv_audit.derivative import differentiate, is_everywhere_defined, simplify
 from deriv_audit.expr import (
-    HUGE, OPS, Add, Constant, Div, Func, Mul, Neg, Pow, Sub, X, evaluate, format_expr,
-    lower, op_of, parse,
+    HUGE, OPS, Add, Constant, Div, Func, Interval, Mul, Neg, Pow, Sub, X, evaluate,
+    format_expr, lower, op_of, parse,
 )
+from deriv_audit.report import analyze
 from helpers import (
     central_diff, chain, eval_defined, fd_regular_point, random_expr, reference_d,
-    reference_format, reference_simplify,
+    reference_simplify, substitute_var,
 )
 
 
@@ -50,6 +51,16 @@ FOLD_CASES = [
     (Func("abs", Constant(-3)), 3.0),
 ]
 
+# Each exponent settles to a constant, but the parsed one is not: the rule is
+# picked by the parsed shape, so f' keeps the general-exponent form, and with
+# it the undefined points of its ln(u) and 1/u.
+PARSED_EXPONENT_CASES = [
+    ("x^(1+1)", "x^2*(0*ln(x)+2*(1/x))"),
+    ("x^(2*1)", "x^2*(0*ln(x)+2*(1/x))"),
+    ("sin(x)^(0+3)", "sin(x)^3*(0*ln(sin(x))+3*(cos(x)/sin(x)))"),
+    ("cbrt(x)^(3-1)", "cbrt(x)^2*(0*ln(cbrt(x))+2*(1/(3*cbrt(x^2))/cbrt(x)))"),
+]
+
 
 class TestRules:
     def test_variable(self):
@@ -70,8 +81,9 @@ class TestRules:
         assert rel_close(v, w, 1e-12)
 
     def test_cbrt_derivative_hole_is_division_by_zero(self):
-        d = differentiate(Func("cbrt", X)).raw
+        d = reference_d(Func("cbrt", X))
         assert d == Div(Constant(1), Mul(Constant(3), Func("cbrt", Pow(X, Constant(2)))))
+        assert differentiate(Func("cbrt", X)).simplified == simplify(d) == d
         assert not evaluate(d, 0.0).is_defined
 
     def test_abs_derivative_keeps_the_corner_visible(self):
@@ -95,19 +107,81 @@ class TestRules:
         fd = central_diff(parse(text), x, 1e-6)
         assert abs(sym - fd) <= max(1e-5, 1e-5 * abs(sym))
 
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
-    def test_match_the_recursive_oracle(self, seed, depth):
-        e = random_expr(random.Random(seed), depth)
-        for tree in (e, differentiate(e).simplified):
-            raw, ref = differentiate(tree).raw, reference_d(tree)
-            assert raw == ref
-            assert format_expr(raw) == reference_format(ref)
-
     def test_deep_neg_chain(self):
         d = differentiate(chain(5000, Neg))
-        assert d.raw == chain(5000, Neg, Constant(1))
         assert d.simplified == Constant(1)  # the double negations cancel
+
+    @pytest.mark.parametrize("text,expected", PARSED_EXPONENT_CASES,
+                             ids=[text for text, _ in PARSED_EXPONENT_CASES])
+    def test_rule_is_picked_by_the_parsed_exponent(self, text, expected):
+        assert format_expr(differentiate(parse(text)).simplified) == expected
+
+    def test_general_exponent_keeps_its_undefined_region(self):
+        notes = analyze("x^(1+1)", Interval(-1, 1)).interval_notes
+        assert [(n.x, n.undefined_side) for n in notes] == [(0.0, "left")]
+
+
+# Wraps for deep chains that share no subtree, so the recursive reference_d
+# stays linear in depth.
+CHAIN_WRAPS = (
+    Neg,
+    lambda u: Func("sqrt", u),
+    lambda u: Func("cbrt", u),
+    lambda u: Func("sin", u),
+    lambda u: Func("abs", u),
+    lambda u: Mul(u, X),
+    lambda u: Sub(Constant(1), u),
+    lambda u: Div(u, Add(X, Constant(2))),
+    lambda u: Pow(u, Constant(2)),
+    lambda u: Pow(u, Add(Constant(1), Constant(1))),
+)
+
+
+class TestFusedPass:
+    """differentiate settles every node as it builds it; the result must be
+    the recursive rule tree (`reference_d`) simplified afterwards."""
+
+    @staticmethod
+    def check(e):
+        fused, ref = differentiate(e).simplified, simplify(reference_d(e))
+        assert fused == ref
+        assert format_expr(fused) == format_expr(ref)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
+    def test_matches_the_simplified_rule_tree(self, seed, depth):
+        e = random_expr(random.Random(seed), depth)
+        for tree in (e, differentiate(e).simplified):
+            self.check(tree)
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5))
+    def test_matches_on_shared_subtrees(self, seed, depth):
+        rng = random.Random(seed)
+        shared = random_expr(rng, depth)
+        # every x of the outer tree is the one object `shared`
+        self.check(substitute_var(random_expr(rng, 4), shared))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_on_300_deep_chains(self, seed):
+        rng = random.Random(seed)
+        e = X
+        for _ in range(300):
+            e = rng.choice(CHAIN_WRAPS)(e)
+        self.check(e)
+
+    def test_deep_chains_do_not_recurse(self):
+        assert differentiate(chain(5001, Neg)).simplified == Constant(-1)
+        nest, sqrt_d = X, Constant(1)
+        for _ in range(5000):  # d sqrt(u) = du/(2*sqrt(u))
+            nest = Func("sqrt", nest)
+            sqrt_d = Div(sqrt_d, Mul(Constant(2), nest))
+        assert differentiate(nest).simplified == sqrt_d
+        product, mul_d = Mul(X, X), Add(X, X)
+        for _ in range(4999):  # d (u*x) = du*x + u
+            product, mul_d = Mul(product, X), Add(Mul(mul_d, X), product)
+        assert differentiate(product).simplified == mul_d
 
 
 class TestSimplify:
@@ -152,7 +226,7 @@ class TestSimplify:
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
     def test_matches_the_fixpoint_oracle(self, seed, depth):
         e = random_expr(random.Random(seed), depth)
-        for tree in (e, differentiate(e).raw):
+        for tree in (e, reference_d(e)):
             s, r = simplify(tree), reference_simplify(tree)
             assert s == r
             assert format_expr(s) == format_expr(r)
@@ -188,10 +262,9 @@ class TestSimplify:
         checked = 0
         while checked < 500:
             e = random_expr(rng, depth=5)
-            d = differentiate(e)
             x = rng.uniform(-3.0, 3.0)
-            raw = evaluate(d.raw, x)
-            simp = evaluate(d.simplified, x)
+            raw = evaluate(reference_d(e), x)
+            simp = evaluate(differentiate(e).simplified, x)
             assert raw.is_defined == simp.is_defined
             if raw.is_defined:
                 a, b = raw.value, simp.value

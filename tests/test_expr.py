@@ -9,7 +9,9 @@ from deriv_audit.expr import (
     Add, Constant, Div, EvalOutcome, Func, Interval, Mul, Neg, ParseError, Pow, Sub,
     UndefinedReason, Variable, X, evaluate, format_expr, parse, record,
 )
-from helpers import chain, random_expr, reference_format, reference_parse, reference_repr
+from helpers import (
+    chain, random_expr, reference_d, reference_format, reference_parse, reference_repr,
+)
 
 DEEP = 5000
 
@@ -135,7 +137,7 @@ class TestAgainstRecursiveOracles:
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 8))
     def test_format_gives_the_same_text(self, seed, depth):
         e = random_expr(random.Random(seed), depth)
-        for tree in (e, differentiate(e).simplified):
+        for tree in (e, reference_d(e), differentiate(e).simplified):
             assert format_expr(tree) == reference_format(tree)
 
     @settings(max_examples=300, deadline=None)
