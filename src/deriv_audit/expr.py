@@ -90,10 +90,12 @@ class Expr:
         if not isinstance(other, Expr):
             return False  # not NotImplemented: tuple.__eq__ would compare fields
         pairs = [(self, other)]
+        seen = set()  # by id: self and other hold every node, so ids stay unique
         while pairs:
             a, b = pairs.pop()
-            if a is b:
+            if a is b or (key := (id(a), id(b))) in seen:
                 continue
+            seen.add(key)
             if op_of(a) != op_of(b) or isinstance(a, Constant) and a.value != b.value:
                 return False
             pairs += zip(children(a), children(b))
@@ -257,24 +259,22 @@ def _is_exact_integer(v: float) -> bool:
     return v == round(v)
 
 
-def _pow_value(a: float, b: float) -> tuple[float | None, UndefinedReason | None]:
-    """Real power a**b, or the reason it is undefined."""
+def _pow_value(a: float, b: float) -> float | None:
+    """Real power a**b, or None where it is undefined: 0**0 and 0**negative
+    (a division by zero) and a non-integer power of a negative base."""
     if a > 0.0:
         try:
-            return _sat(math.pow(a, b)), None
+            return _sat(math.pow(a, b))
         except OverflowError:
-            return HUGE, None
+            return HUGE
     if a == 0.0:
-        if b > 0.0:
-            return 0.0, None
-        return None, UndefinedReason.DIV_BY_ZERO  # 0**0 and 0**negative
+        return 0.0 if b > 0.0 else None
     if not _is_exact_integer(b):
-        return None, UndefinedReason.POW_NEGATIVE_BASE
+        return None
     try:
-        return _sat(math.pow(a, b)), None
+        return _sat(math.pow(a, b))
     except OverflowError:
-        sign = -1.0 if b % 2.0 == 1.0 else 1.0
-        return math.copysign(HUGE, sign), None
+        return -HUGE if b % 2.0 == 1.0 else HUGE
 
 
 def _exp(u: float) -> float:
@@ -401,16 +401,19 @@ def _div_interval(u, v):
 
 
 def _pow_interval(u, v):
-    # Only a constant exponent p, see _pow_value: a ^ p is monotone on each
-    # side of 0, and an even power has its least value 0 at 0.
+    # See _pow_value.  Over a base above 0, a ^ b is monotone in each
+    # operand, so the corner powers bound it.  A constant exponent p also
+    # allows other bases: a ^ p is monotone on each side of 0, and an even
+    # power has its least value 0 at 0.
     a, b = u
-    p = v[0]
-    if p != v[1] or a <= 0.0 <= b and p <= 0.0 or a < 0.0 and not _is_exact_integer(p):
+    p, q = v
+    if p != q and a <= 0.0 or a <= 0.0 <= b and p <= 0.0 or a < 0.0 and not _is_exact_integer(p):
         return None
     try:
-        lo, hi = sorted((math.pow(a, p), math.pow(b, p)))
+        ends = [math.pow(a, p), math.pow(a, q), math.pow(b, p), math.pow(b, q)]
     except OverflowError:
         return None
+    lo, hi = min(ends), max(ends)
     if a < 0.0 < b and p % 2.0 == 0.0:
         lo = 0.0
     return _widened(lo, hi)
@@ -425,8 +428,8 @@ def _abs_interval(u):
 
 #: The single definition of each operation, read by the tape, the undefined
 #: reason and the simplifier.  A leaf ("c" a constant, "x" the variable) has
-#: no value function.  A power's reason depends on its operands, see
-#: _pow_value: 0^0 and 0^negative are a division by zero.
+#: no value function.  A power's reason depends on its base, see
+#: _pow_value and Tape.reason: 0^0 and 0^negative are a division by zero.
 OPS: dict[str, Op] = {
     "c": Op(None, None, None, None), "x": Op(None, None, None, None),
     "neg": Op(operator.neg, None, lambda u: list(map(operator.neg, u)), lambda u: (-u[1], -u[0])),
@@ -438,8 +441,7 @@ OPS: dict[str, Op] = {
             _mul_interval),
     "/": Op(lambda u, v: None if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO,
             _div_column, _div_interval),
-    "^": Op(lambda u, v: _pow_value(u, v)[0], UndefinedReason.POW_NEGATIVE_BASE, _pow_column,
-            _pow_interval),
+    "^": Op(_pow_value, UndefinedReason.POW_NEGATIVE_BASE, _pow_column, _pow_interval),
     "sin": Op(math.sin, None, lambda u: list(map(math.sin, u)), _periodic(math.sin, 0.5 * math.pi)),
     "cos": Op(math.cos, None, lambda u: list(map(math.cos, u)), _periodic(math.cos, 0.0)),
     "exp": Op(_exp, None, lambda u: list(map(math.exp, u)), _monotone(math.exp)),
@@ -540,7 +542,7 @@ class Tape:
                 if op == "/" and v == 0.0:
                     return UndefinedReason.DIV_BY_ZERO
                 if u is not None and (b is None or v is not None):  # the op's own domain
-                    return _pow_value(u, v)[1] if op == "^" else OPS[op].reason
+                    return UndefinedReason.DIV_BY_ZERO if op == "^" and u == 0.0 else OPS[op].reason
                 for k in self.operands(i):
                     if vals[k] is None and k not in seen:
                         seen.add(k)
@@ -548,9 +550,8 @@ class Tape:
             level = deeper
         return None
 
-    def culprit(self, x: float) -> tuple[Expr, UndefinedReason | None]:
-        """Smallest undefined subexpression at x (leftmost if tied), and why."""
-        vals = self.run(x)
+    def culprit(self, vals: list[float | None]) -> tuple[Expr, UndefinedReason | None]:
+        """Smallest undefined subexpression in a run (leftmost if tied), and why."""
         i = self.root
         while (k := next((k for k in self.operands(i) if vals[k] is None), None)) is not None:
             i = k
@@ -580,8 +581,9 @@ class Tape:
         points of [lo, hi], in one sweep of the operations' interval forms
         (see OPS), or None where the slot is uncertified: it may be
         undefined or saturate somewhere there, or it is a ^ whose exponent
-        is not constant, or it reads an uncertified slot.  An enclosure
-        also holds each value that `columns` and `run` compute there."""
+        varies over a base that reaches 0 or below, or it reads an
+        uncertified slot.  An enclosure also holds each value that `columns`
+        and `run` compute there."""
         encs: list[tuple[float, float] | None] = []
         push = encs.append
         for op, fn, a, b in self.code:

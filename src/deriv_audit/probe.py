@@ -109,14 +109,13 @@ def probe(f: Expr | Tape, x0: float) -> QuotientProbe:
     if not math.isfinite(x0):
         raise ValueError(f"probe requires a finite x0, got {x0!r}")
     tape = f if isinstance(f, Tape) else lower(f)
-    f0 = tape.outcome(x0)
-    if not f0.is_defined:
-        raise ValueError(f"probe requires the function to be defined at x0={x0!r}")
     schedule = tuple(H0 * RATIO**k for k in range(STEPS))
     steps = schedule + tuple(-h for h in schedule)  # the right side, then the left
-    values = tape.columns([x0 + h for h in steps])[tape.root]
+    f0, *values = tape.columns([x0, *(x0 + h for h in steps)])[tape.root]
+    if f0 != f0:
+        raise ValueError(f"probe requires the function to be defined at x0={x0!r}")
     quotients = tuple(
-        tape.outcome(x0 + h) if fh != fh else EvalOutcome(_sat((fh - f0.value) / h))
+        tape.outcome(x0 + h) if fh != fh else EvalOutcome(_sat((fh - f0) / h))
         for h, fh in zip(steps, values)
     )
     return QuotientProbe(x0=x0, schedule=schedule, right=quotients[:STEPS],

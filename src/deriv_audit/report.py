@@ -57,13 +57,13 @@ def _audit(input_text: str, derivative_text: str, f_tape: Tape, fp_tape: Tape,
            x0: float) -> PointAudit:
     """The three steps at x0 for f and f', lowered to f_tape and fp_tape."""
     f_out = f_tape.outcome(x0)
-    fp_value, culprit, reason = fp_tape.value(x0), None, None
-    if fp_value is None:
-        node, reason = fp_tape.culprit(x0)
+    fp_vals, culprit, reason = fp_tape.run(x0), None, None
+    if fp_vals[-1] is None:
+        node, reason = fp_tape.culprit(fp_vals)
         culprit = format_expr(node)
     verdict = classify(probe(f_tape, x0)) if f_out.is_defined else None
     return PointAudit(input_text, x0, f_out, derivative_text,
-                      EvalOutcome(fp_value, reason), culprit, verdict)
+                      EvalOutcome(fp_vals[-1], reason), culprit, verdict)
 
 
 def audit_point(input_text: str, x0: float) -> PointAudit:

@@ -117,23 +117,18 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
 
     # One hole per cluster: the shortest decimal representative, a grid or
     # snapped hit over bisection residue.  Its neighbours are at least an
-    # ulp away: from |h| >= 2^24, h +- DEDUP_TOL rounds to h itself.
+    # ulp away: from |h| >= 2^24, h +- DEDUP_TOL rounds to h itself.  A
+    # note's reason is read from the run of its first undefined neighbour.
     for group in clusters(holes, float):
         h = min(group, key=lambda v: (len(repr(v)), v))
         step = max(DEDUP_TOL, math.ulp(h))
-        left_x = h - step
-        right_x = h + step
-        left_undefined = left_x >= iv.lo and tape.value(left_x) is None
-        right_undefined = right_x <= iv.hi and tape.value(right_x) is None
+        runs = {side: tape.run(x) for side, x in (("left", h - step), ("right", h + step))
+                if iv.lo <= x <= iv.hi}
+        undefined = [side for side, vals in runs.items() if vals[-1] is None]
 
-        if left_undefined or right_undefined:
-            if left_undefined and right_undefined:
-                side, inside_x = "both", left_x
-            elif left_undefined:
-                side, inside_x = "left", left_x
-            else:
-                side, inside_x = "right", right_x
-            reason = tape.outcome(inside_x).reason or tape.outcome(h).reason
+        if undefined:
+            side = "both" if len(undefined) == 2 else undefined[0]
+            reason = tape.reason(runs[undefined[0]], tape.root)
             notes.append(IntervalNote(x=h, undefined_side=side, reason=reason))
         elif f_tape.value(h) is not None:
             candidates.append(h)

@@ -138,19 +138,6 @@ class Grid:
 MIN_RANGE = 32
 
 
-def _exponent_reads_x(tape: Tape) -> bool:
-    """Whether a ^ of the tape has an exponent that reads x.  Tape.enclose
-    leaves such a power uncertified on every range wider than a point
-    (unless a factor 0 cancels its x, which simplify folds away), and with
-    it every slot that reads it: the root, which reads them all."""
-    reads_x: list[bool] = []
-    for op, fn, a, b in tape.code:
-        if op == "^" and reads_x[b]:
-            return True
-        reads_x.append(op == "x" or fn is not None and (reads_x[a] or b is not None and reads_x[b]))
-    return False
-
-
 def _kept_nodes(tape: Tape, iv: Interval, n: int) -> list[int]:
     """The ascending indices of the nodes of n steps over iv that must be
     evaluated, found by dyadic recursion over ranges of cells, level by
@@ -162,11 +149,11 @@ def _kept_nodes(tape: Tape, iv: Interval, n: int) -> list[int]:
     and (b-1, b), are kept, and no node or cell between a+1 and b-1 can
     hold an event of a scanned column.  A range that is not pruned is split
     at its middle node.  Ranges under MIN_RANGE cells, and all ranges once
-    the grid has had n // MIN_RANGE enclosures, are kept whole, and so is
-    the whole grid where fp has a ^ with an exponent in x."""
-    if not math.isfinite(n * (iv.hi - iv.lo)) or _exponent_reads_x(tape):
-        # Weighed endpoints need not ascend, so no range is bounded by its
-        # ends; and nothing that reads a power with an exponent in x certifies.
+    the grid has had n // MIN_RANGE enclosures, are kept whole.  A ^ whose
+    exponent varies is certified only over a base above 0, so a range where
+    its base reaches 0 or below is split, not pruned."""
+    if not math.isfinite(n * (iv.hi - iv.lo)):
+        # Weighed endpoints need not ascend, so no range is bounded by its ends.
         return list(range(n + 1))
     root, domain = tape.root, tape.domain_slots()
     budget = n // MIN_RANGE

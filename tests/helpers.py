@@ -228,11 +228,13 @@ def reference_evaluate(e: Expr, x: float) -> EvalOutcome:
             b = visit(node.exponent, depth + 1)
             if a is None or b is None:
                 return None
-            v, bad = _pow_value(a, b)
-            if bad is not None:
-                violations.append((depth, order, bad))
+            if a == 0.0 and b <= 0.0:  # 0**0 and 0**negative
+                violations.append((depth, order, UndefinedReason.DIV_BY_ZERO))
                 return None
-            return v
+            if a < 0.0 and b != round(b):
+                violations.append((depth, order, UndefinedReason.POW_NEGATIVE_BASE))
+                return None
+            return _pow_value(a, b)
         assert isinstance(node, Func)
         u = visit(node.arg, depth + 1)
         if u is None:

@@ -100,6 +100,15 @@ class TestDeep:
         assert a is not b and a == b and not a != b and hash(a) == hash(b)
         assert a != chain(DEEP, Neg, Constant(1)) and a != chain(DEEP - 1, Neg)
 
+    def test_eq_compares_each_pair_of_shared_nodes_once(self):
+        # k nested Mul(a, a) has 2^k paths to its leaf but k + 1 nodes; a
+        # copy that differs in its innermost leaf alone is unequal
+        def dag(k, leaf=X):
+            return chain(k, lambda e: Mul(e, e), leaf)
+
+        assert dag(64) == dag(64) and hash(dag(64)) == hash(dag(64))
+        assert dag(64) != dag(64, Constant(1))
+
 
 def _parse_outcome(parse_fn, text):
     try:

@@ -12,7 +12,7 @@ from deriv_audit.expr import (
 )
 from deriv_audit.probe import Inconclusive
 from deriv_audit.report import analyze, audit_point
-from deriv_audit.scan import BOUNDARY_TOL, _bisect_boundary, scan_detailed
+from deriv_audit.scan import BOUNDARY_TOL, IntervalNote, _bisect_boundary, scan_detailed
 from deriv_audit.tangents import DEFAULT_GRID_N, Grid, grid_points
 from helpers import chain, random_expr, reference_bisect_boundary, reference_events
 
@@ -150,6 +150,34 @@ class TestWork:
             scans.append((len(lowered), runs[0]))
         assert scans[0][0] == 0 and scans[0] == scans[1] == scans[2]
 
+    def test_a_point_audit_runs_f_and_f_prime_once(self, monkeypatch):
+        # f for step 1, f' for step 2 and its culprit; the probe reads f(x0)
+        # from its column
+        _, runs = self._count_calls(monkeypatch)
+        columns, calls = Tape.columns, [0]
+
+        def counted_columns(self, xs, keep=()):
+            calls[0] += 1
+            return columns(self, xs, keep)
+
+        monkeypatch.setattr(Tape, "columns", counted_columns)
+        audit = audit_point("cbrt(x)*sin(x^2)", 0.0)
+        assert audit.culprit == "1/(3*cbrt(x^2))" and audit.verdict is not None
+        assert (runs[0], calls[0]) == (2, 1)
+
+    def test_a_note_takes_its_reason_from_its_neighbours_run(self, monkeypatch):
+        # the snap 0.0 and its two neighbours, the left one undefined
+        grid = Grid(_fp("sqrt(x)"), IV, DEFAULT_GRID_N)
+        _, runs = self._count_calls(monkeypatch)
+        note, = scan_detailed(lower(parse("sqrt(x)")), grid).interval_notes
+        assert note == IntervalNote(0.0, "left", UndefinedReason.EVEN_ROOT_OF_NEGATIVE)
+        assert runs[0] == 3
+
+    def test_analyze_of_the_worked_example_makes_six_runs(self, monkeypatch):
+        _, runs = self._count_calls(monkeypatch)
+        assert len(analyze("cbrt(x)*sin(x^2)", IV).candidates) == 1
+        assert runs[0] == 6
+
     def test_wide_sum_lowers_only_sign_changing_slots(self, monkeypatch):
         # on a 40-step grid over [-1, 1], -0.7, -0.2 and 0.5 are nodes, where
         # x-c has an exact zero and no sign change; the rest are not
@@ -263,12 +291,14 @@ class TestStepOne:
 class TestCulprit:
     def test_culprit_is_minimal(self):
         fp = _fp("cbrt(x)*sin(x^2)")
-        culprit, reason = lower(fp).culprit(0.0)
+        tape = lower(fp)
+        culprit, reason = tape.culprit(tape.run(0.0))
         assert reason is UndefinedReason.DIV_BY_ZERO
         assert format_expr(culprit) == "1/(3*cbrt(x^2))"
 
     def test_culprit_leftmost(self):
         fp = parse("1/x + ln(x)")
-        culprit, reason = lower(fp).culprit(0.0)
+        tape = lower(fp)
+        culprit, reason = tape.culprit(tape.run(0.0))
         assert reason is UndefinedReason.DIV_BY_ZERO
         assert format_expr(culprit) == "1/x"

@@ -287,7 +287,7 @@ class TestPrunedGrid:
         "x-1e-12",  # f' defined but small there
         "sqrt(abs(x))+1",  # f' certified, its sqrt argument 0 there
     ])
-    def test_each_kind_of_troubled_middle_node_is_isolated(self, fp, enclosures):
+    def test_each_kind_of_middle_node_event_is_isolated(self, fp, enclosures):
         grid = Grid(parse(fp), IV, DEFAULT_GRID_N)
         assert enclosures[0] <= 3 and len(grid.nodes) <= 7
         _assert_matches_dense(grid, DEFAULT_GRID_N)
@@ -320,11 +320,16 @@ class TestPrunedGrid:
                               2303, 2304, 2305, 2559, 2560, 2561, 3071, 3072, 3073, 4095, 4096]
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
-    @pytest.mark.parametrize("text", ["x^x", "(1.27+x)^x", "2^sin(x)"])
-    def test_an_exponent_in_x_skips_every_enclosure(self, text, enclosures):
-        # such a power is uncertified on every range, and so is the root
-        grid = _default_grid(text)
-        assert enclosures[0] == 0 and grid.nodes == list(range(DEFAULT_GRID_N + 1))
+    @pytest.mark.parametrize("fp, iv, nodes, count", [
+        ("(1.27+x)^x", IV, 4, 1),  # the base is above 0: certified whole
+        ("2^sin(x)", IV, 4, 1),
+        ("x^x*(ln(x)+x*(1/x))", Interval(0.1, 2), 107, 31),  # f' of x^x, zero at 1/e
+        ("x^x", IV, 2052, 128),  # the base is at or below 0 on half the grid
+    ], ids=["(1.27+x)^x", "2^sin(x)", "d(x^x)", "x^x"])
+    def test_an_exponent_in_x_is_enclosed(self, fp, iv, nodes, count, enclosures):
+        # over the ranges where the power's base stays above 0
+        grid = Grid(parse(fp), iv, DEFAULT_GRID_N)
+        assert (len(grid.nodes), enclosures[0]) == (nodes, count)
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
     def test_a_constant_exponent_not_yet_folded_is_enclosed(self, enclosures):
@@ -332,7 +337,7 @@ class TestPrunedGrid:
         assert enclosures[0] > 0 and len(grid.nodes) <= 7
         _assert_matches_dense(grid, DEFAULT_GRID_N)
 
-    def test_a_range_certified_whole_evaluates_no_node(self, enclosures):
+    def test_a_range_certified_whole_evaluates_its_two_end_cells(self, enclosures):
         # f' = 2 is certified over the whole grid by its first enclosure:
         # only its two end cells are evaluated
         grid = Grid(parse("2*x+3"), IV, DEFAULT_GRID_N)

@@ -169,7 +169,8 @@ def test_deep_chains_evaluate_without_recursion():
 def test_deep_chain_reason_and_culprit():
     add = _add_chain(5000, Div(Constant(1), X))
     assert evaluate(add, 0.0).reason is UndefinedReason.DIV_BY_ZERO
-    culprit, reason = lower(add).culprit(0.0)
+    tape = lower(add)
+    culprit, reason = tape.culprit(tape.run(0.0))
     assert culprit == Div(Constant(1), X)
     assert reason is UndefinedReason.DIV_BY_ZERO
 
@@ -314,11 +315,18 @@ class TestEnclose:
     @pytest.mark.parametrize("text,lo,hi", [
         ("tan(x)", 1.5, math.pi / 2), ("tan(x)", -math.pi / 2, -1.5),
         ("1/x", -0.0, 1.0), ("ln(x)", -0.0, 1.0), ("sqrt(x)", -1e-300, 1.0),
-        ("x^0.5", -1e-300, 1.0), ("x^(-2)", -1.0, 1.0), ("x^0", -0.0, 1.0), ("x^x", 0.5, 1.0),
-        ("x*1e308", 1.0, 2.0), ("exp(x)", 700.0, 710.0), ("x^301", -1e10, 1e10),
+        ("x^0.5", -1e-300, 1.0), ("x^(-2)", -1.0, 1.0), ("x^0", -0.0, 1.0), ("x^x", 0.0, 1.0),
+        ("x^x", -0.5, 0.5), ("x*1e308", 1.0, 2.0), ("exp(x)", 700.0, 710.0),
+        ("x^301", -1e10, 1e10),
     ])
     def test_uncertified(self, text, lo, hi):
         assert _check_enclosures(parse(text), lo, hi)[-1] is None
+
+    def test_an_exponent_in_x_over_a_base_above_0(self):
+        # the corner powers 0.5^0.5, 0.5^1, 1^0.5 and 1^1, widened
+        assert _check_enclosures(parse("x^x"), 0.5, 1.0)[-1] == (
+            math.nextafter(math.nextafter(0.5, 0.0), 0.0),
+            math.nextafter(math.nextafter(1.0, 2.0), 2.0))
 
     @pytest.mark.parametrize("text", LIBM)
     def test_libm_results_widened_two_ulps(self, text):
