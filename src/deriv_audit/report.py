@@ -118,7 +118,7 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
         for x0 in sorted(scanned.candidates + scanned.dismissed)
     )
     candidate_verdicts = tuple((a, a.verdict) for a in trace if a.verdict is not None)
-    tangents = tuple(combine_tangent_points(grid.tape, root_scan.roots, candidate_verdicts))
+    tangents = tuple(combine_tangent_points(root_scan.roots, candidate_verdicts))
 
     return AnalysisReport(
         input_text=input_text,
@@ -127,7 +127,7 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
         corrected_derivative=_corrected_pieces(derivative_text, candidate_verdicts),
         candidates=candidate_verdicts,
         tangents=tangents,
-        naive_tangents=root_scan.roots,
+        naive_tangents=tuple(p.x for p in root_scan.roots),
         methodology_trace=trace,
         unconfirmed_roots=root_scan.unconfirmed,
         interval_notes=scanned.interval_notes,

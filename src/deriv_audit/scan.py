@@ -104,12 +104,15 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     for slot in tape.domain_slots():
         events = column_events(grid.columns[slot])
         value_at = lower(tape.nodes[slot]).value if events.changes else None
-        seeds += column_roots(xs, grid.columns[slot], events, value_at)
+        seeds += [r for r, _ in column_roots(xs, grid.columns[slot], events, value_at)]
 
-    # The undefined snaps of each distinct seed, tested once: a deep nest has
-    # thousands of roots at 0.  The sign keeps -0.0, whose snaps differ, apart.
+    # Each distinct snap of each distinct seed, tested once: a deep nest has
+    # thousands of roots at 0, and nearby seeds share snaps.  The sign keeps
+    # -0.0, whose snaps differ, apart.
+    snaps = {}
     for r in {(r, math.copysign(1.0, r)): r for r in seeds}.values():
-        holes += [s for s in _snap_values(r) if iv.lo <= s <= iv.hi and tape.value(s) is None]
+        snaps.update({(s, math.copysign(1.0, s)): s for s in _snap_values(r)})
+    holes += [s for s in snaps.values() if iv.lo <= s <= iv.hi and tape.value(s) is None]
 
     candidates: list[float] = []
     notes: list[IntervalNote] = []

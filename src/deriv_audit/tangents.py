@@ -47,7 +47,7 @@ class TangentPoint:
 
 @record
 class RootScan:
-    roots: tuple[float, ...]
+    roots: tuple[TangentPoint, ...]
     unconfirmed: tuple[float, ...]  # |value| < band at a grid point, no sign change
 
 
@@ -74,7 +74,6 @@ class Events:
     flips: list[int]    # defined at one of i and i+1, NaN at the other
     zeros: list[int]    # an exact zero at i
     changes: list[int]  # strictly opposite signs at i and i+1
-    small: list[int]    # 0 < |value| < UNCONFIRMED_BAND at i
 
 
 def column_events(col: list[float]) -> Events:
@@ -83,8 +82,6 @@ def column_events(col: list[float]) -> Events:
     flips: list[int] = []
     zeros: list[int] = []
     changes: list[int] = []
-    small: list[int] = []
-    band, neg_band = UNCONFIRMED_BAND, -UNCONFIRMED_BAND
     u = col[0] if col else 0.0  # the first value has no cell before it
     for i, v in enumerate(col):
         if (u != u) != (v != v):
@@ -93,10 +90,8 @@ def column_events(col: list[float]) -> Events:
             changes.append(i - 1)
         if v == 0.0:
             zeros.append(i)
-        elif neg_band < v < band:
-            small.append(i)
         u = v
-    return Events(flips, zeros, changes, small)
+    return Events(flips, zeros, changes)
 
 
 class Grid:
@@ -190,8 +185,11 @@ def clusters(items, x) -> list[list]:
     return groups
 
 
-def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
-    """Shrink a sign-change bracket to ROOT_WIDTH_TOL; None on a hole inside."""
+def _bisect_root(value_at, lo: float, hi: float, flo: float,
+                 fhi: float) -> tuple[float, float] | None:
+    """Shrink a sign-change bracket, with the values flo and fhi at its
+    ends, to ROOT_WIDTH_TOL; the root and the value that confirmed it, or
+    None on a hole inside."""
     while hi - lo > ROOT_WIDTH_TOL:
         mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the largest float
         if mid <= lo or mid >= hi:
@@ -200,61 +198,58 @@ def _bisect_root(value_at, lo: float, hi: float, flo: float) -> float | None:
         if v is None:
             return None
         if v == 0.0:
-            return mid
+            return mid, v
         if (v > 0.0) == (flo > 0.0):
             lo, flo = mid, v
         else:
-            hi = mid
-    for r in (0.5 * lo + 0.5 * hi, lo, hi):
-        v = value_at(r)
+            hi, fhi = mid, v
+    mid = 0.5 * lo + 0.5 * hi
+    for r, v in ((mid, value_at(mid)), (lo, flo), (hi, fhi)):
         if v is not None and abs(v) <= ROOT_RESIDUAL_TOL:
-            return r
+            return r, v
     return None
 
 
-def column_roots(xs: list[float], col: list[float], events: Events, value_at) -> list[float]:
+def column_roots(xs: list[float], col: list[float], events: Events,
+                 value_at) -> list[tuple[float, float]]:
     """Zeros of an expression from its column at xs and the column's
-    events: exact grid zeros, plus each sign change bisected with `value_at`
-    (the value at one point; None if no sign change); sorted and deduplicated."""
-    roots = [xs[i] for i in events.zeros]
+    events, each with its value: exact grid zeros, plus each sign change
+    bisected with `value_at` (the value at one point; None if no sign
+    change); sorted and deduplicated."""
+    roots = [(xs[i], col[i]) for i in events.zeros]
     for i in events.changes:
-        r = _bisect_root(value_at, xs[i], xs[i + 1], col[i])
+        r = _bisect_root(value_at, xs[i], xs[i + 1], col[i], col[i + 1])
         if r is not None:
             roots.append(r)
-    return [group[0] for group in clusters(roots, float)]
+    return [group[0] for group in clusters(roots, lambda r: r[0])]
 
 
 def scan_roots(grid: Grid) -> RootScan:
-    """Locate the zeros of the grid's fp by grid sampling plus bisection.
+    """Locate the zeros of the grid's fp by grid sampling plus bisection,
+    each with |fp| there as its residual.
 
-    Grid points where |fp| is tiny without a neighboring sign change are
-    reported as unconfirmed (a touching zero the sign scan cannot certify).
+    Grid points where 0 < |fp| < UNCONFIRMED_BAND without a neighboring
+    sign change are reported as unconfirmed (a touching zero the sign scan
+    cannot certify).
     """
-    xs, events = grid.xs, grid.events
-    roots = column_roots(xs, grid.columns[grid.tape.root], events, grid.tape.value)
+    xs, events, col = grid.xs, grid.events, grid.columns[grid.tape.root]
+    roots = column_roots(xs, col, events, grid.tape.value)
+    points = tuple(TangentPoint(x, Provenance.SYMBOLIC_EXPRESSION_ROOT, abs(v)) for x, v in roots)
     if len(xs) == 1:
-        return RootScan(roots=tuple(roots), unconfirmed=())
+        return RootScan(roots=points, unconfirmed=())
     changes = set(events.changes)
     unconfirmed = clusters([
-        xs[i] for i in events.small
-        if i - 1 not in changes and i not in changes
-        and not any(abs(xs[i] - r) <= DEDUP_TOL for r in roots)
+        x for i, (x, v) in enumerate(zip(xs, col))
+        if 0.0 < abs(v) < UNCONFIRMED_BAND and i - 1 not in changes and i not in changes
+        and not any(abs(x - r) <= DEDUP_TOL for r, _ in roots)
     ], float)
-    return RootScan(roots=tuple(roots), unconfirmed=tuple(group[0] for group in unconfirmed))
+    return RootScan(roots=points, unconfirmed=tuple(group[0] for group in unconfirmed))
 
 
-def combine_tangent_points(
-    tape: Tape,
-    expression_roots: list[float] | tuple[float, ...],
-    candidate_verdicts,
-) -> list[TangentPoint]:
-    """Merge naive expression roots, zeros of the lowered fp `tape`, with
+def combine_tangent_points(expression_roots, candidate_verdicts) -> list[TangentPoint]:
+    """Merge the naive expression roots, TangentPoints of scan_roots, with
     repaired candidate points."""
-    points = [
-        TangentPoint(x=r, provenance=Provenance.SYMBOLIC_EXPRESSION_ROOT,
-                     residual=abs(tape.value(r)))
-        for r in expression_roots
-    ]
+    points = list(expression_roots)
     for cand, verdict in candidate_verdicts:
         if isinstance(verdict, Differentiable) and abs(verdict.value) <= REPAIR_TOL:
             points.append(TangentPoint(
@@ -263,4 +258,3 @@ def combine_tangent_points(
                 residual=abs(verdict.value),
             ))
     return [group[0] for group in clusters(points, lambda p: p.x)]
-

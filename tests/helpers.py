@@ -279,7 +279,8 @@ def reference_evaluate(e: Expr, x: float) -> EvalOutcome:
 
 def reference_events(col: list[float]) -> tuple[list[int], ...]:
     """The per-element rules the grid scans applied before column events,
-    kept as the oracle `tangents.column_events` is tested against.  NaN
+    kept as the oracle `tangents.column_events` (the first three lists) and
+    the pruned grid's small values (the fourth) are tested against.  NaN
     marks an undefined value; each list holds ascending indices i:
     definedness flips between i and i+1, exact zeros, sign changes between
     adjacent defined values, and defined values with 0 < |v| < band."""

@@ -173,6 +173,21 @@ class TestWork:
         assert note == IntervalNote(0.0, "left", UndefinedReason.EVEN_ROOT_OF_NEGATIVE)
         assert runs[0] == 3
 
+    def test_a_snap_two_seeds_share_is_run_once(self, monkeypatch):
+        # the bisected boundary of sqrt(x-0.3)'s undefined region and the
+        # bisected root of its argument x-0.3 both snap to 0.3
+        grid = Grid(_fp("sqrt(x-0.3)"), IV, DEFAULT_GRID_N)
+        xs, run = [], Tape.run
+
+        def recorded(self, x):
+            if self is grid.tape:
+                xs.append(x)
+            return run(self, x)
+
+        monkeypatch.setattr(Tape, "run", recorded)
+        note, = scan_detailed(lower(parse("sqrt(x-0.3)")), grid).interval_notes
+        assert note.x == 0.3 and xs.count(0.3) == 1
+
     def test_analyze_of_the_worked_example_makes_six_runs(self, monkeypatch):
         _, runs = self._count_calls(monkeypatch)
         assert len(analyze("cbrt(x)*sin(x^2)", IV).candidates) == 1
