@@ -41,13 +41,14 @@ class ScanResult:
 
 
 def _snap_values(r: float) -> list[float]:
-    """Nearby decimal-representable values; a hole usually sits on one."""
+    """Decimal-representable values within DEDUP_TOL of r; a hole usually
+    sits on one."""
     values = {r}
     for digits in range(6, 13):
         values.add(round(r, digits))
     if abs(r) < DEDUP_TOL:
         values.add(0.0)
-    return sorted(values)
+    return sorted(v for v in values if abs(v - r) <= DEDUP_TOL)
 
 
 def _bisect_boundary(tape: Tape, a: float, b: float) -> float:

@@ -85,10 +85,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(parse("x"), parse("1"), IV, 1)
 
-    @pytest.mark.parametrize("text,boundary", [("sqrt(x-0.3)", 0.3), ("x^1.5", -1e-12)])
+    @pytest.mark.parametrize("text,boundary", [("sqrt(x-0.3)", 0.3), ("x^1.5", -1e-12),
+                                               ("sqrt(x-0.1234564)", 0.1234564)])
     def test_undefined_region_is_noted_at_its_boundary_only(self, text, boundary):
         # the grid node next to the flip lies inside the undefined region
-        # (0.2998046875 and -0.00048828125 on the default grid): no note
+        # (0.2998046875 and -0.00048828125 on the default grid): no note;
+        # nor does a snap of the boundary that falls inside it, such as
+        # 0.123456, 4e-7 from its seed
         notes = analyze(text, IV).interval_notes
         assert [(n.x, n.undefined_side) for n in notes] == [(boundary, "left")]
 
