@@ -40,15 +40,18 @@ class ScanResult:
     dismissed: tuple[float, ...]
 
 
-def _snap_values(r: float) -> list[float]:
-    """Decimal-representable values within DEDUP_TOL of r; a hole usually
-    sits on one."""
-    values = {r}
-    for digits in range(6, 13):
-        values.add(round(r, digits))
-    if abs(r) < DEDUP_TOL:
-        values.add(0.0)
-    return sorted(v for v in values if abs(v - r) <= DEDUP_TOL)
+def _snaps(seeds: list[float]) -> list[float]:
+    """Each distinct snap of the seeds once: the decimal-representable
+    values within DEDUP_TOL of a seed, where a hole usually sits.  A deep
+    nest has thousands of seeds at 0, and nearby seeds share snaps; the
+    sign keeps -0.0, whose snaps differ, apart."""
+    snaps = {}
+    for r in {(r, math.copysign(1.0, r)): r for r in seeds}.values():
+        values = {r, *(round(r, digits) for digits in range(6, 13))}
+        if abs(r) < DEDUP_TOL:
+            values.add(0.0)
+        snaps.update({(s, math.copysign(1.0, s)): s for s in values if abs(s - r) <= DEDUP_TOL})
+    return list(snaps.values())
 
 
 def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
@@ -107,13 +110,7 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
         value_at = lower(tape.nodes[slot]).value if events.changes else None
         seeds += [r for r, _ in column_roots(xs, grid.columns[slot], events, value_at)]
 
-    # Each distinct snap of each distinct seed, tested once: a deep nest has
-    # thousands of roots at 0, and nearby seeds share snaps.  The sign keeps
-    # -0.0, whose snaps differ, apart.
-    snaps = {}
-    for r in {(r, math.copysign(1.0, r)): r for r in seeds}.values():
-        snaps.update({(s, math.copysign(1.0, s)): s for s in _snap_values(r)})
-    holes += [s for s in snaps.values() if iv.lo <= s <= iv.hi and tape.value(s) is None]
+    holes += [s for s in _snaps(seeds) if iv.lo <= s <= iv.hi and tape.value(s) is None]
 
     candidates: list[float] = []
     notes: list[IntervalNote] = []
