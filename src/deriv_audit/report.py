@@ -18,8 +18,7 @@ from .probe import (
 )
 from .scan import IntervalNote, scan_detailed
 from .tangents import (
-    DEFAULT_GRID_N, Grid, Provenance, TangentPoint, combine_tangent_points,
-    grid_points, scan_roots,
+    DEFAULT_GRID_N, Grid, Provenance, TangentPoint, clusters, grid_points, scan_roots,
 )
 
 __all__ = [
@@ -27,6 +26,8 @@ __all__ = [
     "analyze", "audit_point", "emit_plot_data",
     "render_text", "render_point_text", "to_json_dict", "point_json_dict",
 ]
+
+REPAIR_TOL = 1e-6
 
 
 @record
@@ -118,15 +119,19 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
         for x0 in sorted(scanned.candidates + scanned.dismissed)
     )
     candidate_verdicts = tuple((a, a.verdict) for a in trace if a.verdict is not None)
-    tangents = tuple(combine_tangent_points(root_scan.roots, candidate_verdicts))
+    # a hole the limit definition repairs is a tangent too where the
+    # derivative it gives is within REPAIR_TOL of 0
+    repaired = [(a, v) for a, v in candidate_verdicts if isinstance(v, Differentiable)]
+    points = [*root_scan.roots, *(TangentPoint(a.x0, Provenance.REPAIRED_BY_DEFINITION, abs(v.value))
+                                  for a, v in repaired if abs(v.value) <= REPAIR_TOL)]
 
     return AnalysisReport(
         input_text=input_text,
         interval=iv,
         derivative_text=derivative_text,
-        corrected_derivative=_corrected_pieces(derivative_text, candidate_verdicts),
+        corrected_derivative=_corrected_pieces(derivative_text, repaired),
         candidates=candidate_verdicts,
-        tangents=tangents,
+        tangents=tuple(group[0] for group in clusters(points, lambda p: p.x)),
         naive_tangents=tuple(p.x for p in root_scan.roots),
         methodology_trace=trace,
         unconfirmed_roots=root_scan.unconfirmed,
@@ -136,12 +141,9 @@ def analyze(input_text: str, iv: Interval, grid_n: int = DEFAULT_GRID_N) -> Anal
     )
 
 
-def _corrected_pieces(derivative_text, candidate_verdicts) -> tuple[DerivativePiece, ...]:
-    repaired = [
-        (cand, verdict)
-        for cand, verdict in candidate_verdicts
-        if isinstance(verdict, Differentiable)
-    ]
+def _corrected_pieces(derivative_text, repaired) -> tuple[DerivativePiece, ...]:
+    """f' as pieces: the expression off the repaired holes, (audit,
+    Differentiable) pairs, and each one's derivative at its point."""
     if repaired:
         condition = " and ".join(f"x != {format_number(c.x0)}" for c, _ in repaired)
     else:

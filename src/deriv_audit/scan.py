@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 
 from .expr import Tape, UndefinedReason, lower, record
-from .tangents import DEDUP_TOL, Grid, clusters, column_events, column_roots
+from .tangents import DEDUP_TOL, Grid, clusters, column_events, column_roots, refine
 
 __all__ = ["IntervalNote", "ScanResult", "scan_detailed"]
-
-BOUNDARY_TOL = 1e-12
 
 
 @record
@@ -40,48 +38,40 @@ class ScanResult:
     dismissed: tuple[float, ...]
 
 
-def _snaps(seeds: list[float]) -> list[float]:
-    """Each distinct snap of the seeds once: the decimal-representable
-    values within DEDUP_TOL of a seed, where a hole usually sits.  A deep
-    nest has thousands of seeds at 0, and nearby seeds share snaps; the
-    sign keeps -0.0, whose snaps differ, apart."""
+def _snaps(seeds: list[float]) -> dict[tuple[float, float], float]:
+    """Each distinct snap of the seeds once, keyed by (value, sign): the
+    decimal-representable values within DEDUP_TOL of a seed, where a hole
+    usually sits, and the seed itself.  A deep nest has thousands of seeds
+    at 0, and nearby seeds share snaps; the sign keeps -0.0, whose snaps
+    differ, apart."""
     snaps = {}
     for r in {(r, math.copysign(1.0, r)): r for r in seeds}.values():
         values = {r, *(round(r, digits) for digits in range(6, 13))}
         if abs(r) < DEDUP_TOL:
             values.add(0.0)
         snaps.update({(s, math.copysign(1.0, s)): s for s in values if abs(s - r) <= DEDUP_TOL})
-    return list(snaps.values())
+    return snaps
 
 
 def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
-    """Undefined-side point within BOUNDARY_TOL of the definedness flip
-    between a defined point a and an undefined point b.  The midpoints it
+    """Undefined-side point within BRACKET_TOL of the definedness flip
+    between a defined point a and an undefined point b, by `refine` of
+    definedness: +1 where fp is defined, -1 where not.  The midpoints it
     takes while each is defined, as on the way to an undefined grid node,
-    are found first and evaluated in one column; the loop goes on point by
-    point from the first of them that is undefined, if any."""
-    mids = []
-    m = a
-    while abs(b - m) > BOUNDARY_TOL:
-        mid = 0.5 * m + 0.5 * b  # m + b can overflow near the largest float
-        if mid == m or mid == b:
-            break
-        mids.append(mid)
-        m = mid
+    come from `refine` fed +1 at every step and are evaluated in one
+    column; `refine` goes on point by point from the first undefined one."""
+    def bracket(a, b):
+        return (a, b, 1.0, -1.0) if a < b else (b, a, -1.0, 1.0)
+
+    mids: list[float] = []
+    refine(lambda mid: mids.append(mid) or 1.0, *bracket(a, b))  # each taken as defined
     col = tape.columns(mids)[tape.root]
     k = next((k for k, v in enumerate(col) if v != v), None)
     if k is None:
         return b
-    a, b = mids[k - 1] if k else a, mids[k]
-    while abs(b - a) > BOUNDARY_TOL:
-        mid = 0.5 * a + 0.5 * b
-        if mid == a or mid == b:
-            break
-        if tape.value(mid) is not None:
-            a = mid
-        else:
-            b = mid
-    return b
+    lo, hi, f_lo, _ = refine(lambda mid: 1.0 if tape.value(mid) is not None else -1.0,
+                             *bracket(mids[k - 1] if k else a, mids[k]))
+    return lo if f_lo < 0.0 else hi
 
 
 def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
@@ -96,21 +86,26 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     # lies inside the undefined region, which only its boundary describes.
     col = grid.columns[tape.root]
     holes = [iv.lo] if len(xs) == 1 and col[0] != col[0] else []
-    seeds = []
+    boundaries = []
     for i in grid.events.flips:
         undefined_next = col[i + 1] != col[i + 1]
         defined_x, undefined_x = (xs[i], xs[i + 1]) if undefined_next else (xs[i + 1], xs[i])
-        seeds.append(_bisect_boundary(tape, defined_x, undefined_x))
+        boundaries.append(_bisect_boundary(tape, defined_x, undefined_x))
 
     # Exact zeros of denominators and of sqrt/ln arguments are seeds too:
     # holes the grid can sail straight past without a definedness flip.
     # Only a sign change is bisected, so only it needs the slot's subtree.
+    roots = []
     for slot in tape.domain_slots():
         events = column_events(grid.columns[slot])
         value_at = lower(tape.nodes[slot]).value if events.changes else None
-        seeds += [r for r, _ in column_roots(xs, grid.columns[slot], events, value_at)]
+        roots += [r for r, _ in column_roots(xs, grid.columns[slot], events, value_at)]
 
-    holes += [s for s in _snaps(seeds) if iv.lo <= s <= iv.hi and tape.value(s) is None]
+    # A boundary is a hole as it stands: bisection ends it on a point
+    # already found undefined.  Only the other snaps are run.
+    known = {(s, math.copysign(1.0, s)) for s in boundaries}
+    holes += [s for key, s in _snaps(boundaries + roots).items()
+              if iv.lo <= s <= iv.hi and (key in known or tape.value(s) is None)]
 
     candidates: list[float] = []
     notes: list[IntervalNote] = []

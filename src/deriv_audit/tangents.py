@@ -1,9 +1,9 @@
 """Horizontal tangent points on an interval.
 
 The naive route collects sign-change roots of the derivative expression; the
-corrected route adds candidate points where the expression is undefined but
-the limit definition still yields a (near-)zero derivative.  Both sets are
-kept so a report can show the gap between them.
+corrected route, in `report.analyze`, adds candidate points where the
+expression is undefined but the limit definition still yields a (near-)zero
+derivative.  Both sets are kept so a report can show the gap between them.
 """
 
 from __future__ import annotations
@@ -13,24 +13,22 @@ import math
 from collections.abc import Sequence
 
 from .expr import Expr, Interval, Tape, lower, record
-from .probe import Differentiable
 
 __all__ = [
     "Provenance", "TangentPoint", "RootScan", "Events", "Grid",
-    "grid_points", "column_events", "clusters", "column_roots", "scan_roots",
-    "combine_tangent_points",
-    "DEFAULT_GRID_N", "DEDUP_TOL",
+    "grid_points", "column_events", "clusters", "refine", "column_roots", "scan_roots",
+    "DEFAULT_GRID_N", "BRACKET_TOL", "DEDUP_TOL",
 ]
 
 DEFAULT_GRID_N = 4096
 
-ROOT_WIDTH_TOL = 1e-12
+# Every bracket, of a root or of a definedness boundary, is refined to this width.
+BRACKET_TOL = 1e-12
 DEDUP_TOL = 1e-9
 # A localized sign change only counts as a root if the expression is defined
 # and small there; a pole crossing fails this and is discarded.
 ROOT_RESIDUAL_TOL = 1e-6
 UNCONFIRMED_BAND = 1e-10
-REPAIR_TOL = 1e-6
 
 
 class Provenance(enum.Enum):
@@ -185,42 +183,40 @@ def clusters(items, x) -> list[list]:
     return groups
 
 
-def _bisect_root(value_at, lo: float, hi: float, flo: float,
-                 fhi: float) -> tuple[float, float] | None:
-    """Shrink a sign-change bracket, with the values flo and fhi at its
-    ends, to ROOT_WIDTH_TOL; the root and the value that confirmed it, or
-    None on a hole inside."""
-    while hi - lo > ROOT_WIDTH_TOL:
+def refine(value_at, lo: float, hi: float, f_lo: float,
+           f_hi: float) -> tuple[float, float, float | None, float | None]:
+    """The one bisection of a bracket: halve (lo, hi), whose end values
+    f_lo and f_hi have strictly opposite signs, down to BRACKET_TOL, by
+    `value_at` at each midpoint.  The final (lo, hi, f_lo, f_hi), or the
+    midpoint as both ends where `value_at` gives 0.0 or None there."""
+    while hi - lo > BRACKET_TOL:
         mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the largest float
         if mid <= lo or mid >= hi:
             break
         v = value_at(mid)
-        if v is None:
-            return None
-        if v == 0.0:
-            return mid, v
-        if (v > 0.0) == (flo > 0.0):
-            lo, flo = mid, v
+        if v is None or v == 0.0:
+            return mid, mid, v, v
+        if (v > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, v
         else:
-            hi, fhi = mid, v
-    mid = 0.5 * lo + 0.5 * hi
-    for r, v in ((mid, value_at(mid)), (lo, flo), (hi, fhi)):
-        if v is not None and abs(v) <= ROOT_RESIDUAL_TOL:
-            return r, v
-    return None
+            hi, f_hi = mid, v
+    return lo, hi, f_lo, f_hi
 
 
 def column_roots(xs: list[float], col: list[float], events: Events,
                  value_at) -> list[tuple[float, float]]:
     """Zeros of an expression from its column at xs and the column's
     events, each with its value: exact grid zeros, plus each sign change
-    bisected with `value_at` (the value at one point; None if no sign
-    change); sorted and deduplicated."""
+    refined with `value_at` (the value at one point; None if no sign
+    change) and kept where the midpoint of its bracket, else an end, has
+    |value| <= ROOT_RESIDUAL_TOL; sorted and deduplicated."""
     roots = [(xs[i], col[i]) for i in events.zeros]
     for i in events.changes:
-        r = _bisect_root(value_at, xs[i], xs[i + 1], col[i], col[i + 1])
-        if r is not None:
-            roots.append(r)
+        lo, hi, f_lo, f_hi = refine(value_at, xs[i], xs[i + 1], col[i], col[i + 1])
+        # a bracket that ends at one point holds an exact zero or a hole
+        mid = 0.5 * lo + 0.5 * hi
+        tries = [(lo, f_lo)] if lo == hi else [(mid, value_at(mid)), (lo, f_lo), (hi, f_hi)]
+        roots += [(r, v) for r, v in tries if v is not None and abs(v) <= ROOT_RESIDUAL_TOL][:1]
     return [group[0] for group in clusters(roots, lambda r: r[0])]
 
 
@@ -244,17 +240,3 @@ def scan_roots(grid: Grid) -> RootScan:
         and not any(abs(x - r) <= DEDUP_TOL for r, _ in roots)
     ], float)
     return RootScan(roots=points, unconfirmed=tuple(group[0] for group in unconfirmed))
-
-
-def combine_tangent_points(expression_roots, candidate_verdicts) -> list[TangentPoint]:
-    """Merge the naive expression roots, TangentPoints of scan_roots, with
-    repaired candidate points."""
-    points = list(expression_roots)
-    for cand, verdict in candidate_verdicts:
-        if isinstance(verdict, Differentiable) and abs(verdict.value) <= REPAIR_TOL:
-            points.append(TangentPoint(
-                x=cand.x0,
-                provenance=Provenance.REPAIRED_BY_DEFINITION,
-                residual=abs(verdict.value),
-            ))
-    return [group[0] for group in clusters(points, lambda p: p.x)]

@@ -12,7 +12,7 @@ from deriv_audit.expr import (
     _Token, cbrt, evaluate, format_number, lower,
 )
 from deriv_audit.derivative import _fold_constant, _rewrite
-from deriv_audit.tangents import UNCONFIRMED_BAND
+from deriv_audit.tangents import ROOT_RESIDUAL_TOL, UNCONFIRMED_BAND
 
 FUNCS = sorted(FUNCTION_NAMES)
 
@@ -310,6 +310,37 @@ def reference_bisect_boundary(tape, a: float, b: float, tol: float) -> float:
         else:
             b = mid
     return b
+
+
+ROOT_WIDTH_TOL = 1e-12
+
+
+def reference_bisect_root(value_at, lo: float, hi: float, flo: float,
+                          fhi: float) -> tuple[float, float] | None:
+    """The root bisection that `tangents.column_roots` now runs through
+    `tangents.refine`, kept as the oracle it is tested against.
+
+    Shrink a sign-change bracket, with the values flo and fhi at its
+    ends, to ROOT_WIDTH_TOL; the root and the value that confirmed it, or
+    None on a hole inside."""
+    while hi - lo > ROOT_WIDTH_TOL:
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the largest float
+        if mid <= lo or mid >= hi:
+            break
+        v = value_at(mid)
+        if v is None:
+            return None
+        if v == 0.0:
+            return mid, v
+        if (v > 0.0) == (flo > 0.0):
+            lo, flo = mid, v
+        else:
+            hi, fhi = mid, v
+    mid = 0.5 * lo + 0.5 * hi
+    for r, v in ((mid, value_at(mid)), (lo, flo), (hi, fhi)):
+        if v is not None and abs(v) <= ROOT_RESIDUAL_TOL:
+            return r, v
+    return None
 
 
 _MAX_PASSES = 64

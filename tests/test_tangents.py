@@ -11,9 +11,9 @@ from deriv_audit.probe import classify, probe
 from deriv_audit.report import analyze
 from deriv_audit.tangents import (
     DEFAULT_GRID_N, MIN_RANGE, UNCONFIRMED_BAND, Grid, Provenance, TangentPoint,
-    column_events, grid_points, scan_roots,
+    clusters, column_events, column_roots, grid_points, scan_roots,
 )
-from helpers import random_expr, reference_events
+from helpers import random_expr, reference_bisect_root, reference_events
 
 IV = Interval(-1, 1)
 
@@ -195,6 +195,52 @@ class TestColumnEvents:
         columns = tape.columns(grid_points(Interval(-2, 2), 64), tape.domain_slots())
         for slot in [tape.root, *tape.domain_slots()]:
             assert tuple(column_events(columns[slot])) == reference_events(columns[slot])[:3]
+
+
+def _reference_roots(xs, col, value_at):
+    """column_roots' (x, value) pairs, each sign change bisected by the
+    oracle, packed so that -0.0 and 0.0 differ."""
+    _, zeros, changes, _ = reference_events(col)
+    roots = [(xs[i], col[i]) for i in zeros]
+    for i in changes:
+        r = reference_bisect_root(value_at, xs[i], xs[i + 1], col[i], col[i + 1])
+        roots += [r] if r is not None else []
+    return [struct.pack("<dd", *group[0]) for group in clusters(roots, lambda r: r[0])]
+
+
+def _roots(xs, col, value_at):
+    return [struct.pack("<dd", *r) for r in column_roots(xs, col, column_events(col), value_at)]
+
+
+class TestRefine:
+    """column_roots, through refine, ends where the point-by-point root
+    bisection ends, bit for bit."""
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
+    def test_matches_the_root_bisection(self, seed, depth):
+        # f' and its domain slots; every other tree is f of a hole family
+        rng = random.Random(seed)
+        f = random_expr(rng, depth) if seed % 2 else parse(rng.choice(
+            ["sqrt(x-{a})", "x*ln({a}-x)", "cbrt(x-{a})", "abs(x-{a})*sqrt(x^2-{a})"]
+        ).format(a=rng.uniform(-2, 2)))
+        tape = lower(differentiate(f).simplified)
+        xs = grid_points(Interval(-2, 2), 64)
+        columns = tape.columns(xs, tape.domain_slots())
+        for slot in [tape.root, *tape.domain_slots()]:
+            value_at = lower(tape.nodes[slot]).value
+            assert _roots(xs, columns[slot], value_at) == _reference_roots(xs, columns[slot], value_at)
+
+    @pytest.mark.parametrize("fp, iv, n, roots", [
+        ("1/x", Interval(-1, 1.0001), 4096, []),  # a pole's bracket: no root
+        ("2*x", IV, 65, [(0.0, 0.0)]),  # the first midpoint of (-1/65, 1/65) is 0
+    ])
+    def test_pinned_brackets(self, fp, iv, n, roots):
+        tape = lower(parse(fp))
+        xs = grid_points(iv, n)
+        col = tape.columns(xs)[tape.root]
+        assert _roots(xs, col, tape.value) == _reference_roots(xs, col, tape.value)
+        assert column_roots(xs, col, column_events(col), tape.value) == roots
 
 
 def _bits(v):
