@@ -829,5 +829,9 @@ def _emit(e: Expr, pieces: Callable[[Expr], list]) -> str:
 
 
 def format_expr(e: Expr) -> str:
-    """Render e with minimal parentheses; parse(format_expr(e)) == e."""
+    """Render e with minimal parentheses.  parse(format_expr(e)) == e for a
+    tree that parse builds.  For any tree (a negative constant, as in f' text
+    0.5*x^-0.5, re-reads as a Neg, and -0.0 prints as 0), the text is a fixed
+    point of format_expr(parse(.)), and the re-read tree is defined exactly
+    where e is, with equal values up to the sign of a zero."""
     return _emit(e, _format_pieces)

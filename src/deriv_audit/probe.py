@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .expr import EvalOutcome, Expr, Tape, _sat, lower, record
+from .expr import Expr, Tape, _sat, lower, record
 
 __all__ = [
     "QuotientProbe", "Verdict", "Differentiable", "VerticalTangent", "Cusp",
@@ -47,12 +47,13 @@ SIDE_MERGE_TOL = 1e-4
 
 @record
 class QuotientProbe:
-    """One-sided difference quotients (f(x0±h) - f(x0)) / (±h) per step."""
+    """One-sided difference quotients (f(x0±h) - f(x0)) / (±h) per step, None
+    where f(x0±h) is undefined."""
 
     x0: float
     schedule: tuple[float, ...]
-    right: tuple[EvalOutcome, ...]
-    left: tuple[EvalOutcome, ...]
+    right: tuple[float | None, ...]
+    left: tuple[float | None, ...]
 
     def __new__(cls, x0, schedule, right, left):
         if len(right) != len(schedule) or len(left) != len(schedule):
@@ -103,8 +104,8 @@ def probe(f: Expr | Tape, x0: float) -> QuotientProbe:
     """Sample both one-sided quotient sequences of f, or of f's tape, at x0.
 
     Requires f to be defined at the finite x0 (the scanner guarantees
-    this); steps where f(x0±h) is undefined are recorded as such, with
-    their reason, not skipped.
+    this); a step where f(x0±h) is undefined is recorded as None, not
+    skipped.  All 2*STEPS + 1 values come from one column run of the tape.
     """
     if not math.isfinite(x0):
         raise ValueError(f"probe requires a finite x0, got {x0!r}")
@@ -114,10 +115,7 @@ def probe(f: Expr | Tape, x0: float) -> QuotientProbe:
     f0, *values = tape.columns([x0, *(x0 + h for h in steps)])[tape.root]
     if f0 != f0:
         raise ValueError(f"probe requires the function to be defined at x0={x0!r}")
-    quotients = tuple(
-        tape.outcome(x0 + h) if fh != fh else EvalOutcome(_sat((fh - f0) / h))
-        for h, fh in zip(steps, values)
-    )
+    quotients = tuple(None if fh != fh else _sat((fh - f0) / h) for h, fh in zip(steps, values))
     return QuotientProbe(x0=x0, schedule=schedule, right=quotients[:STEPS],
                          left=quotients[STEPS:])
 
@@ -130,16 +128,16 @@ class _Side:
     diagnostic: str | None = None
 
 
-def _window(schedule, outcomes, floor: float) -> list[float]:
+def _window(schedule, quotients, floor: float) -> list[float]:
     """Trailing run of defined quotients among steps with h >= floor."""
     qs: list[float] = []
-    for h, out in zip(schedule, outcomes):
+    for h, q in zip(schedule, quotients):
         if h < floor:
             break
-        if out.is_defined:
-            qs.append(out.value)
-        else:
+        if q is None:
             qs.clear()
+        else:
+            qs.append(q)
     return qs
 
 
@@ -158,15 +156,8 @@ def _rate(run: list[float]) -> float:
     return sum((k - mk) * math.log(abs(d)) for k, d in enumerate(run)) / sxx
 
 
-def _last_defined_value(outcomes) -> float | None:
-    for out in reversed(outcomes):
-        if out.is_defined:
-            return out.value
-    return None
-
-
-def _analyze_side(schedule, outcomes, label: str, floor: float) -> _Side:
-    qs = _window(schedule, outcomes, floor)
+def _analyze_side(schedule, quotients, label: str, floor: float) -> _Side:
+    qs = _window(schedule, quotients, floor)
     if len(qs) < MIN_WINDOW:
         return _Side("failed", diagnostic=f"{label} side: insufficient samples")
 
@@ -202,7 +193,7 @@ def _analyze_side(schedule, outcomes, label: str, floor: float) -> _Side:
             return _Side("converged", limit=qs[-1] + deltas[-1] * r / (1.0 - r))
         # Magnitude is read at the tail of the full schedule: divergence keeps
         # growing below the convergence window's h floor.
-        tail = _last_defined_value(outcomes)
+        tail = next((q for q in reversed(quotients) if q is not None), None)
         if (
             p <= -P_MIN
             and (all(q > 0.0 for q in qs) or all(q < 0.0 for q in qs))

@@ -109,7 +109,7 @@ def test_criterion_4_counterexample_vertical_tangent(capsys):
 
     p = probe(parse(G_TEXT), 0.0)
     for k in range(31):
-        assert p.right[k].value == pytest.approx(qs[k], rel=1e-12)
+        assert p.right[k] == pytest.approx(qs[k], rel=1e-12)
 
     assert main(["classify", G_TEXT, "--at", "0", "--json"]) == 0
     # capsys captured inside main's print

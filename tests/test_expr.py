@@ -207,6 +207,24 @@ class TestFormat:
             e = random_expr(rng, depth=8)
             assert parse(format_expr(e)) == e
 
+    def test_negative_constants_re_read_as_neg(self):
+        d = differentiate(parse("x^0.5")).simplified
+        assert format_expr(d) == "0.5*x^-0.5"
+        assert parse(format_expr(d)) == parse("0.5*x^(-0.5)") != d
+        assert format_expr(Constant(-0.0)) == "0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4))
+    def test_derivative_text_re_reads_to_the_same_function(self, seed, depth):
+        # f' holds negative constants, which random_expr never makes
+        d = differentiate(random_expr(random.Random(seed), depth)).simplified
+        text = format_expr(d)
+        reread = parse(text)
+        assert format_expr(reread) == text
+        for x in (-1.3, -0.5, 0.0, 0.25, 1.7):
+            a, b = evaluate(d, x), evaluate(reread, x)
+            assert a.is_defined == b.is_defined and a.value == b.value  # 0.0 == -0.0
+
 
 class TestEvaluate:
     def test_function_defined_at_zero(self):
