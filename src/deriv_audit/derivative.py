@@ -139,7 +139,7 @@ def _fold_constant(e: Expr, kids: tuple[Expr, ...]) -> Expr | None:
         if not isinstance(k, Constant):
             return None
     v = OPS[op_of(e)].value(*[k.value for k in kids])  # type: ignore[attr-defined]
-    return None if v is None else Constant(v)
+    return None if v != v else Constant(v)
 
 
 def _is_const(e: Expr, v: float) -> bool:

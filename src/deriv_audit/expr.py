@@ -259,18 +259,20 @@ def _is_exact_integer(v: float) -> bool:
     return v == round(v)
 
 
-def _pow_value(a: float, b: float) -> float | None:
-    """Real power a**b, or None where it is undefined: 0**0 and 0**negative
-    (a division by zero) and a non-integer power of a negative base."""
+def _pow_value(a: float, b: float) -> float:
+    """Real power a**b, or NaN where it is undefined: 0**0 and 0**negative
+    (a division by zero), a non-integer power of a negative base, a NaN operand."""
+    if a != a or b != b:  # else math.pow(nan, 0) and math.pow(1, nan) give 1.0
+        return NAN
     if a > 0.0:
         try:
             return _sat(math.pow(a, b))
         except OverflowError:
             return HUGE
     if a == 0.0:
-        return 0.0 if b > 0.0 else None
+        return 0.0 if b > 0.0 else NAN
     if not _is_exact_integer(b):
-        return None
+        return NAN
     try:
         return _sat(math.pow(a, b))
     except OverflowError:
@@ -286,20 +288,18 @@ def _exp(u: float) -> float:
 
 @record
 class Op:
-    value: Callable | None  # at defined operands; None where undefined
+    value: Callable | None  # total on floats: NaN where undefined or an operand is NaN
     reason: UndefinedReason | None  # why it can be undefined; None if total
-    column: Callable | None  # see _column; None where only `value` is exact
+    column: Callable | None  # see _column; where None, `value` is mapped over the columns
     interval: Callable | None  # see Tape.enclose
 
 
-# Column forms.  Inside a Tape.columns sweep NaN marks an undefined value:
-# constants and points are finite and every op saturates, so no defined value
-# is NaN.  A column form maps C-level builtins over whole operand columns,
-# which carries NaN through.  Where it could differ from `value` it raises
-# (OverflowError from exp and ^, ValueError from a domain error in sqrt, ln
-# and ^) or returns None (an inf to saturate, a ^ whose exponent is not a
-# positive constant); `value` then computes that column point by point, as
-# it does every column of tan.  A zero denominator is made NaN first.
+# Column forms.  A column form maps C-level builtins over whole operand
+# columns, which carries NaN through.  Where it could differ from `value` it
+# raises (OverflowError from exp and ^, ValueError from a domain error in
+# sqrt, ln and ^) or returns None (an inf to saturate, a ^ whose exponent is
+# not a positive constant); then, as for an op without one, `value` is mapped
+# over the columns.  A zero denominator is made NaN first.
 
 
 def _no_inf(col: list[float]) -> list[float] | None:
@@ -428,33 +428,34 @@ def _abs_interval(u):
 
 #: The single definition of each operation, read by the tape, the undefined
 #: reason and the simplifier.  A leaf ("c" a constant, "x" the variable) has
-#: no value function.  A power's reason depends on its base, see
-#: _pow_value and Tape.reason: 0^0 and 0^negative are a division by zero.
+#: no value function; every other one is total on floats, NaN where the op
+#: is undefined or an operand is NaN.  A power's reason depends on its base,
+#: see _pow_value and Tape.reason: 0^0 and 0^negative are a division by zero.
 OPS: dict[str, Op] = {
     "c": Op(None, None, None, None), "x": Op(None, None, None, None),
-    "neg": Op(operator.neg, None, lambda u: list(map(operator.neg, u)), lambda u: (-u[1], -u[0])),
+    "neg": Op(operator.neg, None, None, lambda u: (-u[1], -u[0])),
     "+": Op(lambda u, v: _sat(u + v), None, lambda u, v: _no_inf(list(map(operator.add, u, v))),
             lambda u, v: _bounded(u[0] + v[0], u[1] + v[1])),
     "-": Op(lambda u, v: _sat(u - v), None, lambda u, v: _no_inf(list(map(operator.sub, u, v))),
             lambda u, v: _bounded(u[0] - v[1], u[1] - v[0])),
     "*": Op(lambda u, v: _sat(u * v), None, lambda u, v: _no_inf(list(map(operator.mul, u, v))),
             _mul_interval),
-    "/": Op(lambda u, v: None if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO,
+    "/": Op(lambda u, v: NAN if v == 0.0 else _sat(u / v), UndefinedReason.DIV_BY_ZERO,
             _div_column, _div_interval),
     "^": Op(_pow_value, UndefinedReason.POW_NEGATIVE_BASE, _pow_column, _pow_interval),
-    "sin": Op(math.sin, None, lambda u: list(map(math.sin, u)), _periodic(math.sin, 0.5 * math.pi)),
-    "cos": Op(math.cos, None, lambda u: list(map(math.cos, u)), _periodic(math.cos, 0.0)),
+    "sin": Op(math.sin, None, None, _periodic(math.sin, 0.5 * math.pi)),
+    "cos": Op(math.cos, None, None, _periodic(math.cos, 0.0)),
     "exp": Op(_exp, None, lambda u: list(map(math.exp, u)), _monotone(math.exp)),
     "cbrt": Op(cbrt, None,  # pow(a, b) is a ** b, as in cbrt
                lambda u: list(map(math.copysign, map(pow, map(abs, u), repeat(1.0 / 3.0)), u)),
                _monotone(cbrt)),
-    "abs": Op(abs, None, lambda u: list(map(abs, u)), _abs_interval),
+    "abs": Op(abs, None, None, _abs_interval),
     # tan is undefined only where the argument hits a pole exactly in floats
-    "tan": Op(lambda u: None if math.cos(u) == 0.0 else _sat(math.tan(u)),
+    "tan": Op(lambda u: NAN if math.cos(u) == 0.0 else _sat(math.tan(u)),
               UndefinedReason.TAN_POLE, None, _tan_interval),
-    "ln": Op(lambda u: None if u <= 0.0 else math.log(u), UndefinedReason.LOG_NON_POSITIVE,
+    "ln": Op(lambda u: NAN if u <= 0.0 else math.log(u), UndefinedReason.LOG_NON_POSITIVE,
              lambda u: list(map(math.log, u)), _monotone(math.log)),
-    "sqrt": Op(lambda u: None if u < 0.0 else math.sqrt(u),
+    "sqrt": Op(lambda u: NAN if u < 0.0 else math.sqrt(u),
                UndefinedReason.EVEN_ROOT_OF_NEGATIVE, lambda u: list(map(math.sqrt, u)),
                lambda u: None if u[0] < 0.0 else (math.sqrt(u[0]), math.sqrt(u[1]))),
 }
@@ -464,16 +465,11 @@ def _column(op: str, args: tuple[list[float], ...]) -> list[float]:
     """op over the operand columns args, NaN where it is undefined: its
     column form where that is exact, else its value at each point."""
     fn, _, form, _ = OPS[op]
-    if form is not None:
-        try:
-            col = form(*args)
-        except (OverflowError, ValueError):
-            col = None
-        if col is not None:
-            return col
-    if len(args) == 1:
-        return [NAN if u != u or (r := fn(u)) is None else r for u in args[0]]
-    return [NAN if u != u or v != v or (r := fn(u, v)) is None else r for u, v in zip(*args)]
+    try:
+        col = None if form is None else form(*args)
+    except (OverflowError, ValueError):
+        col = None
+    return list(map(fn, *args)) if col is None else col
 
 
 _OP_OF_CLASS = {Constant: "c", Variable: "x", Neg: "neg", Add: "+", Sub: "-", Mul: "*",
@@ -491,8 +487,9 @@ class Tape:
     earlier slots a and b (b is None for a unary op; a leaf has no fn, and a
     constant holds its value in a), so one forward sweep evaluates the
     expression and the last slot is the root.  Equal subtrees share a slot,
-    `nodes[i]` is slot i's subtree, and a value is a float or None where it
-    is undefined (NaN in a column).
+    `nodes[i]` is slot i's subtree, and a value is a float, NaN where it is
+    undefined, in a run and a column alike: points and constants are finite
+    and every op saturates, so no defined value is NaN (`v != v` tests it).
     """
 
     __slots__ = ("code", "nodes", "root")
@@ -504,65 +501,66 @@ class Tape:
         op, _, a, b = self.code[i]
         return () if op == "c" or op == "x" else (a,) if b is None else (a, b)
 
-    def run(self, x: float) -> list[float | None]:
+    def run(self, x: float) -> list[float]:
         """Every slot's value at x."""
-        vals: list[float | None] = []
+        vals: list[float] = []
         push = vals.append
         for op, fn, a, b in self.code:
             if fn is None:  # a leaf
                 push(x if op == "x" else a)
             elif b is None:
-                u = vals[a]
-                push(None if u is None else fn(u))
+                push(fn(vals[a]))
             else:
-                u, v = vals[a], vals[b]
-                push(None if u is None or v is None else fn(u, v))
+                push(fn(vals[a], vals[b]))
         return vals
 
-    def value(self, x: float) -> float | None:
+    def value(self, x: float) -> float:
         return self.run(x)[-1]
 
     def outcome(self, x: float) -> EvalOutcome:
+        """The root's value at the finite x, or None and why it is undefined."""
+        if not math.isfinite(x):
+            raise ValueError(f"evaluation requires a finite x, got {x!r}")
         vals = self.run(x)
-        return EvalOutcome(vals[-1], self.reason(vals, self.root))
+        reason = self.reason(vals, self.root)
+        return EvalOutcome(vals[-1] if reason is None else None, reason)
 
-    def reason(self, vals: list[float | None], slot: int) -> UndefinedReason | None:
+    def reason(self, vals: list[float], slot: int) -> UndefinedReason | None:
         """Why `slot` is undefined in a run: the violation at the shallowest
         node of its subtree, leftmost on a tie; None if it is defined.
         Undefinedness reaches every ancestor, so a breadth-first walk over
         undefined slots, left to right, meets the violations in that order;
         a shared slot is walked at its first, shallowest occurrence only."""
-        level = [slot] if vals[slot] is None else []
+        level = [slot] if vals[slot] != vals[slot] else []
         seen = set(level)
         while level:
             deeper = []
             for i in level:
                 op, _, a, b = self.code[i]
-                u, v = vals[a], None if b is None else vals[b]
+                u, v = vals[a], vals[a if b is None else b]
                 if op == "/" and v == 0.0:
                     return UndefinedReason.DIV_BY_ZERO
-                if u is not None and (b is None or v is not None):  # the op's own domain
+                if u == u and v == v:  # the op's own domain
                     return UndefinedReason.DIV_BY_ZERO if op == "^" and u == 0.0 else OPS[op].reason
                 for k in self.operands(i):
-                    if vals[k] is None and k not in seen:
+                    if vals[k] != vals[k] and k not in seen:
                         seen.add(k)
                         deeper.append(k)
             level = deeper
         return None
 
-    def culprit(self, vals: list[float | None]) -> tuple[Expr, UndefinedReason | None]:
+    def culprit(self, vals: list[float]) -> tuple[Expr, UndefinedReason | None]:
         """Smallest undefined subexpression in a run (leftmost if tied), and why."""
         i = self.root
-        while (k := next((k for k in self.operands(i) if vals[k] is None), None)) is not None:
+        while (k := next((k for k in self.operands(i) if vals[k] != vals[k]), None)) is not None:
             i = k
         return self.nodes[i], self.reason(vals, i)
 
     def columns(self, xs: list[float], keep=()) -> list[list | None]:
         """Each slot's values at the finite points xs, in one sweep, a
         column at a time (see _column).  Only the root's column and those of
-        the slots in `keep` are returned, with NaN where undefined (no
-        defined value is NaN, so `v != v` tests it); every other one is
-        dropped (None) after its last reader, so few are alive."""
+        the slots in `keep` are returned; every other one is dropped (None)
+        after its last reader, so few are alive."""
         keep = {*keep, self.root}
         last_read = {k: i for i in range(len(self.code)) for k in self.operands(i)}
         cols: list[list | None] = []
@@ -627,7 +625,8 @@ def lower(e: Expr) -> Tape:
 
 
 def evaluate(e: Expr, x: float) -> EvalOutcome:
-    """Evaluate e at x.  Total: undefinedness is reported, never raised.
+    """Evaluate e at x, which must be finite.  Total: undefinedness is
+    reported, never raised.
 
     When several subexpressions are undefined at x, the reported reason
     belongs to the shallowest violating node, ties broken left to right.

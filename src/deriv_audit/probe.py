@@ -216,7 +216,7 @@ def classify(p: QuotientProbe) -> Verdict:
     if left.status == "converged" and right.status == "converged":
         merge_tol = max(SIDE_MERGE_TOL, SIDE_MERGE_TOL * max(abs(left.limit), abs(right.limit)))
         if abs(left.limit - right.limit) <= merge_tol:
-            return Differentiable(0.5 * (left.limit + right.limit))
+            return Differentiable(0.5 * left.limit + 0.5 * right.limit)  # the sum can overflow
         return Corner(left_slope=left.limit, right_slope=right.limit)
 
     if left.status == "diverged" and right.status == "diverged":

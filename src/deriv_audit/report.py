@@ -58,13 +58,13 @@ def _audit(input_text: str, derivative_text: str, f_tape: Tape, fp_tape: Tape,
            x0: float) -> PointAudit:
     """The three steps at x0 for f and f', lowered to f_tape and fp_tape."""
     f_out = f_tape.outcome(x0)
-    fp_vals, culprit, reason = fp_tape.run(x0), None, None
-    if fp_vals[-1] is None:
+    fp_vals, culprit = fp_tape.run(x0), None
+    fp_out = EvalOutcome(fp_vals[-1])
+    if fp_vals[-1] != fp_vals[-1]:
         node, reason = fp_tape.culprit(fp_vals)
-        culprit = format_expr(node)
+        culprit, fp_out = format_expr(node), EvalOutcome(reason=reason)
     verdict = classify(probe(f_tape, x0)) if f_out.is_defined else None
-    return PointAudit(input_text, x0, f_out, derivative_text,
-                      EvalOutcome(fp_vals[-1], reason), culprit, verdict)
+    return PointAudit(input_text, x0, f_out, derivative_text, fp_out, culprit, verdict)
 
 
 def audit_point(input_text: str, x0: float) -> PointAudit:

@@ -69,7 +69,7 @@ def _bisect_boundary(tape: Tape, a: float, b: float) -> float:
     k = next((k for k, v in enumerate(col) if v != v), None)
     if k is None:
         return b
-    lo, hi, f_lo, _ = refine(lambda mid: 1.0 if tape.value(mid) is not None else -1.0,
+    lo, hi, f_lo, _ = refine(lambda mid: -1.0 if math.isnan(tape.value(mid)) else 1.0,
                              *bracket(mids[k - 1] if k else a, mids[k]))
     return lo if f_lo < 0.0 else hi
 
@@ -105,7 +105,7 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
     # already found undefined.  Only the other snaps are run.
     known = {(s, math.copysign(1.0, s)) for s in boundaries}
     holes += [s for key, s in _snaps(boundaries + roots).items()
-              if iv.lo <= s <= iv.hi and (key in known or tape.value(s) is None)]
+              if iv.lo <= s <= iv.hi and (key in known or math.isnan(tape.value(s)))]
 
     candidates: list[float] = []
     notes: list[IntervalNote] = []
@@ -120,13 +120,13 @@ def scan_detailed(f_tape: Tape, grid: Grid) -> ScanResult:
         step = max(DEDUP_TOL, math.ulp(h))
         runs = {side: tape.run(x) for side, x in (("left", h - step), ("right", h + step))
                 if iv.lo <= x <= iv.hi}
-        undefined = [side for side, vals in runs.items() if vals[-1] is None]
+        undefined = [side for side, vals in runs.items() if math.isnan(vals[-1])]
 
         if undefined:
             side = "both" if len(undefined) == 2 else undefined[0]
             reason = tape.reason(runs[undefined[0]], tape.root)
             notes.append(IntervalNote(x=h, undefined_side=side, reason=reason))
-        elif f_tape.value(h) is not None:
+        elif not math.isnan(f_tape.value(h)):
             candidates.append(h)
         else:
             dismissed.append(h)

@@ -184,17 +184,17 @@ def clusters(items, x) -> list[list]:
 
 
 def refine(value_at, lo: float, hi: float, f_lo: float,
-           f_hi: float) -> tuple[float, float, float | None, float | None]:
+           f_hi: float) -> tuple[float, float, float, float]:
     """The one bisection of a bracket: halve (lo, hi), whose end values
     f_lo and f_hi have strictly opposite signs, down to BRACKET_TOL, by
     `value_at` at each midpoint.  The final (lo, hi, f_lo, f_hi), or the
-    midpoint as both ends where `value_at` gives 0.0 or None there."""
+    midpoint as both ends where `value_at` gives 0.0 or NaN there."""
     while hi - lo > BRACKET_TOL:
         mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the largest float
         if mid <= lo or mid >= hi:
             break
         v = value_at(mid)
-        if v is None or v == 0.0:
+        if v == 0.0 or v != v:
             return mid, mid, v, v
         if (v > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, v
@@ -207,16 +207,16 @@ def column_roots(xs: list[float], col: list[float], events: Events,
                  value_at) -> list[tuple[float, float]]:
     """Zeros of an expression from its column at xs and the column's
     events, each with its value: exact grid zeros, plus each sign change
-    refined with `value_at` (the value at one point; None if no sign
-    change) and kept where the midpoint of its bracket, else an end, has
-    |value| <= ROOT_RESIDUAL_TOL; sorted and deduplicated."""
+    refined with `value_at` (the value at one point, NaN where undefined;
+    None if no sign change) and kept where the midpoint of its bracket, else
+    an end, has |value| <= ROOT_RESIDUAL_TOL; sorted and deduplicated."""
     roots = [(xs[i], col[i]) for i in events.zeros]
     for i in events.changes:
         lo, hi, f_lo, f_hi = refine(value_at, xs[i], xs[i + 1], col[i], col[i + 1])
         # a bracket that ends at one point holds an exact zero or a hole
         mid = 0.5 * lo + 0.5 * hi
         tries = [(lo, f_lo)] if lo == hi else [(mid, value_at(mid)), (lo, f_lo), (hi, f_hi)]
-        roots += [(r, v) for r, v in tries if v is not None and abs(v) <= ROOT_RESIDUAL_TOL][:1]
+        roots += [(r, v) for r, v in tries if abs(v) <= ROOT_RESIDUAL_TOL][:1]
     return [group[0] for group in clusters(roots, lambda r: r[0])]
 
 

@@ -138,7 +138,7 @@ def max_intermediate(e: Expr, x: float) -> float | None:
     rounding error of f, i.e. with the biggest intermediate value (a huge
     addend or trig argument), not with f's output."""
     values = lower(e).run(x)
-    if None in values:
+    if any(math.isnan(v) for v in values):
         return None
     return max(abs(v) for v in values)
 
@@ -305,7 +305,7 @@ def reference_bisect_boundary(tape, a: float, b: float, tol: float) -> float:
         mid = 0.5 * a + 0.5 * b
         if mid == a or mid == b:
             break
-        if tape.value(mid) is not None:
+        if not math.isnan(tape.value(mid)):
             a = mid
         else:
             b = mid
@@ -321,14 +321,14 @@ def reference_bisect_root(value_at, lo: float, hi: float, flo: float,
     `tangents.refine`, kept as the oracle it is tested against.
 
     Shrink a sign-change bracket, with the values flo and fhi at its
-    ends, to ROOT_WIDTH_TOL; the root and the value that confirmed it, or
-    None on a hole inside."""
+    ends, to ROOT_WIDTH_TOL, by value_at, NaN where undefined; the root and
+    the value that confirmed it, or None on a hole inside."""
     while hi - lo > ROOT_WIDTH_TOL:
         mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the largest float
         if mid <= lo or mid >= hi:
             break
         v = value_at(mid)
-        if v is None:
+        if math.isnan(v):
             return None
         if v == 0.0:
             return mid, v
@@ -338,7 +338,7 @@ def reference_bisect_root(value_at, lo: float, hi: float, flo: float,
             hi, fhi = mid, v
     mid = 0.5 * lo + 0.5 * hi
     for r, v in ((mid, value_at(mid)), (lo, flo), (hi, fhi)):
-        if v is not None and abs(v) <= ROOT_RESIDUAL_TOL:
+        if not math.isnan(v) and abs(v) <= ROOT_RESIDUAL_TOL:
             return r, v
     return None
 

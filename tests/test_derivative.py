@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 import sys
@@ -22,30 +23,30 @@ def rel_close(a, b, rel):
 
 
 def _bits(v):
-    return None if v is None else struct.pack("<d", v)
+    return struct.pack("<d", v)
 
 
-# Every operation on constant operands, at the edges of its domain; None
+# Every operation on constant operands, at the edges of its domain; NaN
 # where it is undefined.
 FOLD_CASES = [
     (Add(Constant(1), Constant(2)), 3.0),
     (Sub(Constant(1), Constant(2)), -1.0),
     (Mul(Constant(HUGE), Constant(2)), HUGE),  # saturates
     (Div(Constant(1), Constant(4)), 0.25),
-    (Div(Constant(1), Constant(0)), None),
-    (Pow(Constant(0), Constant(0)), None),
-    (Pow(Constant(0), Constant(-1)), None),
-    (Pow(Constant(-8), Constant(1 / 3)), None),
+    (Div(Constant(1), Constant(0)), math.nan),
+    (Pow(Constant(0), Constant(0)), math.nan),
+    (Pow(Constant(0), Constant(-1)), math.nan),
+    (Pow(Constant(-8), Constant(1 / 3)), math.nan),
     (Pow(Constant(-2), Constant(3)), -8.0),
     (Neg(Constant(0)), -0.0),
     (Func("sin", Constant(0)), 0.0),
     (Func("cos", Constant(0)), 1.0),
     (Func("tan", Constant(0)), 0.0),
     (Func("exp", Constant(1000)), HUGE),  # saturates
-    (Func("ln", Constant(0)), None),
-    (Func("ln", Constant(-1)), None),
+    (Func("ln", Constant(0)), math.nan),
+    (Func("ln", Constant(-1)), math.nan),
     (Func("ln", Constant(1)), 0.0),
-    (Func("sqrt", Constant(-1)), None),
+    (Func("sqrt", Constant(-1)), math.nan),
     (Func("sqrt", Constant(4)), 2.0),
     (Func("cbrt", Constant(-8)), -2.0),
     (Func("abs", Constant(-3)), 3.0),
@@ -208,11 +209,11 @@ class TestSimplify:
                              ids=[format_expr(e) for e, _ in FOLD_CASES])
     def test_folds_exactly_where_the_tape_is_defined(self, e, expected):
         value = lower(e).value(0.0)
-        assert _bits(value) == _bits(expected)
         s = simplify(e)
-        if value is None:
-            assert s == e
+        if math.isnan(expected):
+            assert math.isnan(value) and s == e
         else:
+            assert _bits(value) == _bits(expected)
             assert isinstance(s, Constant) and _bits(s.value) == _bits(value)
 
     def test_totality_check_on_a_deep_chain(self):

@@ -303,6 +303,20 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert [t["x"] for t in data["tangents"]] == [0.0]
 
+    def test_a_saturating_slope_is_classified(self, capsys):
+        # both one-sided limits are near the largest float: their mean must
+        # not overflow, in text or in JSON
+        assert main(["classify", "1e308*x", "--at", "0.5"]) == 0
+        assert "differentiable, derivative 1e+308" in capsys.readouterr().out
+        assert main(["classify", "1e308*x", "--at", "0.5", "--json"]) == 0
+
+        def finite_only(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        step3 = json.loads(capsys.readouterr().out, parse_constant=finite_only)["step3"]
+        assert step3["kind"] == "differentiable"
+        assert math.isclose(step3["value"], 1e308, rel_tol=1e-6)
+
     def test_negative_exponent_form_point(self, capsys):
         assert main(["classify", "x", "--at", "-1e-3", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["x"] == -1e-3

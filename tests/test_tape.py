@@ -15,7 +15,7 @@ from deriv_audit.expr import (
     HUGE, Add, Constant, Div, Func, Interval, Mul, Neg, Pow, Sub, UndefinedReason, X,
     evaluate, lower, parse,
 )
-from deriv_audit.report import analyze
+from deriv_audit.report import analyze, audit_point
 from deriv_audit.scan import scan_detailed
 from deriv_audit.tangents import Grid, grid_points
 from helpers import random_expr, reference_evaluate
@@ -45,7 +45,8 @@ def _points(e):
     return xs
 
 
-@settings(max_examples=150, deadline=None)
+# The pinned count in tier-1, and the profile's count under --hypothesis-profile=ci
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 7))
 def test_scalar_path_matches_reference(seed, depth):
     e = random_expr(random.Random(seed), depth)
@@ -54,9 +55,27 @@ def test_scalar_path_matches_reference(seed, depth):
         ref = reference_evaluate(e, x)
         assert _same(evaluate(e, x), ref), (x, ref)
         assert _same(tape.outcome(x), ref), (x, ref)
+        for node, v in zip(tape.nodes, tape.run(x)):
+            assert _bits(_undefined_as_none(v)) == _bits(reference_evaluate(node, x).value), (x, node)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 7))
+def test_run_and_columns_agree_on_every_slot(seed, depth):
+    # one mark of an undefined value on both paths: NaN at the same slots,
+    # and the same bits elsewhere.  A NaN's sign carries nothing, and the
+    # paths may differ in it: -nan/0 is -nan in a column, NaN on the run.
+    e = random_expr(random.Random(seed), depth)
+    tape = lower(e)
+    slots = range(len(tape.code))
+    for x in _points(e):
+        column = tape.columns([x], keep=slots)
+        for i, v in enumerate(tape.run(x)):
+            c = column[i][0]
+            assert v != v and c != c or struct.pack("<d", v) == struct.pack("<d", c), (x, tape.nodes[i])
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 7))
 def test_every_column_matches_reference(seed, depth):
     e = random_expr(random.Random(seed), depth)
@@ -137,6 +156,17 @@ def test_named_case_matches_reference(name, e, xs):
 def test_saturated_case_value():
     out = evaluate(parse("1/exp(x^32)"), 2.0)
     assert out.is_defined and out.value == 1.0 / 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_x_is_rejected(x):
+    for text in ("x", "sqrt(x)", "sin(x)"):
+        with pytest.raises(ValueError, match=f"finite x, got {x!r}"):
+            evaluate(parse(text), x)
+        with pytest.raises(ValueError, match=f"finite x, got {x!r}"):
+            lower(parse(text)).outcome(x)
+        with pytest.raises(ValueError):
+            audit_point(text, x)
 
 
 def _neg_chain(n):
